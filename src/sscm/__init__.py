@@ -26,6 +26,7 @@ from .lss_clt import (
     default_contour,
     lss_normal_approx,
     mean_kernel,
+    shape_to_sigma_eigs,
 )
 from .mp_law import (
     DiscreteMeasure,
@@ -46,7 +47,6 @@ from .shape_estimation import (
     moment_method_psd,
     psi_normalize,
     select_num_atoms,
-    shape_to_sigma_eigs,
     sigma_to_shape_eigs,
     tyler_m_estimator,
 )

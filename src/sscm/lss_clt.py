@@ -227,96 +227,54 @@ class NormalApprox:
         return json.dumps({"mean": self.mean.tolist(), "cov": self.covariance.tolist()})
 
 
-# -- auxiliary Hadamard-trace quantities -----------------------------------
-
-
-def aux_quantities(A, sigma, z, z2):
-    """(zeta_p, h_p(z), g_p(z, z2)) for dense or diagonal A and sigma."""
-    if np.ndim(A) == 1:
-        a2 = np.asarray(A, dtype=float) ** 2
-        sig = np.asarray(sigma, dtype=float)
-        p = a2.size
-        zeta = float(np.sum(a2**2) / p)
-        h = complex(np.sum(a2**2 / (sig - z)) / p)
-        g = complex(np.sum(a2**2 / ((sig - z) * (sig - z2))) / p)
-        return zeta, h, g
-    A = np.asarray(A, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    p = A.shape[0]
-    At = A.T @ A
-    R1 = A.T @ np.linalg.solve(sigma - z * np.eye(p), A)
-    R2 = A.T @ np.linalg.solve(sigma - z2 * np.eye(p), A)
-    zeta = float(np.sum(At * At) / p)
-    h = complex(np.sum(R1 * At) / p)
-    g = complex(np.sum(R1 * R2) / p)
-    return zeta, h, g
+# -- Hadamard-trace quantities ----------------------------------------------
 
 
 class _HadamardOps:
-    """Fast h_p / g_p evaluation collapsed over distinct (T, sigma) pairs."""
+    """h_p, g_p and their derivatives in the eigenbasis of sigma.
+
+    With sigma = Q diag(lam) Q', B = Q'A with rows b_k and phi_k(u) =
+    1/(lam_k - u): h_p(u) = sum_k d_k phi_k(u) and g_p(u, v) = phi(u)' M phi(v),
+    where d_k = b_k' A'A b_k / p and M_kl = (b_k . b_l)^2 / p.  For diagonal A
+    and sigma, d = A^4 / p and M = diag(d).  Terms sharing an eigenvalue of
+    sigma are summed, so evaluations cost O(#distinct eigenvalues^2).
+    """
 
     def __init__(self, ctx):
-        self.ctx = ctx
+        A = np.asarray(ctx.A, dtype=float)
+        p = A.shape[0]
         if ctx.diagonal:
-            a2 = np.asarray(ctx.A, dtype=float) ** 2
-            sig = np.asarray(ctx.sigma, dtype=float)
-            pairs = {}
-            for t, s in zip(a2, sig):
-                key = (round(t, 12), round(s, 12))
-                pairs[key] = pairs.get(key, 0) + 1
-            self.t2w = np.array([k[0] ** 2 * cnt for k, cnt in pairs.items()]) / a2.size
-            self.sig = np.array([k[1] for k in pairs])
+            lam = np.asarray(ctx.sigma, dtype=float)
+            d = A**4 / p
+            M = np.diag(d)
         else:
-            self.eigval, Q = np.linalg.eigh(np.asarray(ctx.sigma, dtype=float))
-            self.B = Q.T @ np.asarray(ctx.A, dtype=float)
-            self.At = ctx.A.T @ ctx.A
+            lam, Q = np.linalg.eigh(np.asarray(ctx.sigma, dtype=float))
+            B = Q.T @ A
+            d = np.einsum("ki,ij,kj->k", B, A.T @ A, B) / p
+            M = (B @ B.T) ** 2 / p
+        _, group = np.unique(np.round(lam, 12), return_inverse=True)
+        S = (group == np.arange(group.max() + 1)[:, None]).astype(float)
+        self.lam = (S @ lam) / S.sum(axis=1)
+        self.d = S @ d
+        self.M = S @ M @ S.T
+
+    def _phi(self, u):
+        return 1.0 / (self.lam - np.asarray(u)[..., None])
 
     def h(self, u):
-        """h_p at points u (any shape)."""
-        if self.ctx.diagonal:
-            u = np.asarray(u)
-            return np.sum(self.t2w / (self.sig - u[..., None]), axis=-1)
-        u = np.atleast_1d(np.asarray(u, dtype=complex))
-        out = np.empty(u.shape, dtype=complex)
-        p = self.B.shape[1]
-        for i, ui in np.ndenumerate(u):
-            C = self.B.T @ (self.B / (self.eigval - ui)[:, None])
-            out[i] = np.sum(C * self.At) / p
-        return out
+        return self._phi(u) @ self.d
 
     def h_prime(self, u):
-        if self.ctx.diagonal:
-            u = np.asarray(u)
-            return np.sum(self.t2w / (self.sig - u[..., None]) ** 2, axis=-1)
-        step = 1e-6 * max(1.0, abs(u))
-        return (self.h(u + step) - self.h(u - step))[0] / (2 * step)
+        return self._phi(u) ** 2 @ self.d
 
-    def g(self, u, v):
-        """g_p on the outer product of point sets u and v."""
-        if self.ctx.diagonal:
-            u = np.asarray(u)
-            v = np.asarray(v)
-            phi_u = self.t2w / (self.sig - u[..., None])  # weights folded in
-            phi_v = 1.0 / (self.sig - v[..., None])
-            return np.tensordot(phi_u, phi_v, axes=([-1], [-1]))
-        u = np.atleast_1d(np.asarray(u, dtype=complex))
-        v = np.atleast_1d(np.asarray(v, dtype=complex))
-        p = self.B.shape[1]
-        Cs_u = [self.B.T @ (self.B / (self.eigval - ui)[:, None]) for ui in u.ravel()]
-        Cs_v = [self.B.T @ (self.B / (self.eigval - vi)[:, None]) for vi in v.ravel()]
-        out = np.array([[np.sum(cu * cv) / p for cv in Cs_v] for cu in Cs_u])
-        return out.reshape(u.shape + v.shape)
+    def g_d1_diag(self, u):
+        """d/du g_p(u, v) at v = u."""
+        phi = self._phi(u)
+        return np.sum((phi**2 @ self.M) * phi, axis=-1)
 
-    def g_d1(self, u, v):
-        """Partial derivative of g_p in its first argument."""
-        if self.ctx.diagonal:
-            u = np.asarray(u)
-            v = np.asarray(v)
-            phi_u = self.t2w / (self.sig - u[..., None]) ** 2
-            phi_v = 1.0 / (self.sig - v[..., None])
-            return np.tensordot(phi_u, phi_v, axes=([-1], [-1]))
-        step = 1e-6 * max(1.0, abs(u))
-        return (self.g(u + step, v) - self.g(u - step, v))[0, 0] / (2 * step)
+    def g_d12(self, u, v):
+        """Mixed partial d^2 g_p / du dv on the outer product of u and v."""
+        return (self._phi(u) ** 2 @ self.M) @ (self._phi(v) ** 2).T
 
 
 # -- kernels ---------------------------------------------------------------
@@ -352,189 +310,86 @@ def _mu2(ctx, ops, mu, mup, z):
     w = ctx.H_p.weights
     c = ctx.c_n
     u = -1.0 / mu
-    frac = 1.0 + t * mu[..., None]
-    int_t2 = np.sum(w * t / frac**2, axis=-1)
-    if ctx.diagonal:
-        g1 = np.diagonal(ops.g_d1(u, u)) if np.ndim(u) else ops.g_d1(np.atleast_1d(u), np.atleast_1d(u))[0, 0]
-        hp = ops.h(u)
-        hpp = ops.h_prime(u)
-    else:
-        g1 = np.array([ops.g_d1(ui, ui) for ui in np.atleast_1d(u)]).reshape(np.shape(u))
-        hp = np.array([ops.h(ui)[0] for ui in np.atleast_1d(u)]).reshape(np.shape(u))
-        hpp = np.array([ops.h_prime(ui) for ui in np.atleast_1d(u)]).reshape(np.shape(u))
+    int_t2 = np.sum(w * t / (1.0 + t * mu[..., None]) ** 2, axis=-1)
     one_zm = 1.0 + z * mu
-    term1 = c * mup / mu**2 * g1
+    term1 = c * mup / mu**2 * ops.g_d1_diag(u)
     term2 = ctx.zeta_p * one_zm * mup * int_t2
-    term3 = one_zm * mup / mu**2 * hpp
-    term4 = c * mup * int_t2 * hp
+    term3 = one_zm * mup / mu**2 * ops.h_prime(u)
+    term4 = c * mup * int_t2 * ops.h(u)
     return term1 + term2 - term3 - term4
 
 
 def mean_kernel(ctx, z):
     """(kappa, mu1, mu2) of the CLT mean integrand at a single point z."""
-    mu, mup = _solve_many(ctx, np.atleast_1d(np.asarray(z, dtype=complex)))
-    ops = _HadamardOps(ctx)
-    kap = _kappa(mu, mup, np.atleast_1d(z), ctx.r_w)
-    m1 = _mu1(ctx, mu, mup, np.atleast_1d(z))
-    m2 = _mu2(ctx, ops, mu, mup, np.atleast_1d(z))
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    mu, mup = _solve_many(ctx, z)
+    kap = _kappa(mu, mup, z, ctx.r_w)
+    m1 = _mu1(ctx, mu, mup, z)
+    m2 = _mu2(ctx, _HadamardOps(ctx), mu, mup, z)
     return complex(kap[0]), complex(m1[0]), complex(m2[0])
 
 
-def _log_term(mu1v, mu2v, z1, z2):
-    arg = (mu1v - mu2v) / (mu1v * mu2v * (z1 - z2))
-    on_cut = (arg.real <= 0) & (np.abs(arg.imag) <= 1e-12 * np.abs(arg.real))
-    if np.any(on_cut):
-        raise NumericError("log branch cut crossed; widen or shift the contours")
-    return np.log(arg)
+def _cov_kernels(ctx, ops, z1, mu1, mup1, z2, mu2, mup2):
+    """(sigma1, sigma2) on the outer product of two node sets, in closed form.
 
-
-def _s1_grid(ctx, z1, mu1v, z2, mu2v):
-    """Pre-derivative part of the first covariance kernel on an outer grid.
-
-    z1, mu1v indexed by leading axes; z2, mu2v by trailing axes.
+    sigma1 is twice the mixed partial d^2/dz1 dz2 of
+        log[(mu1 - mu2) / (mu1 mu2 (z1 - z2))]
+        + (s2/c + 1/(c mu1) + 1/(c mu2)) (1 + z1 mu1)(1 + z2 mu2) - z1 mu1 - z2 mu2,
+    sigma2 the mixed partial of
+        c g_p(u1, u2) + (zeta/c)(1 + z1 mu1)(1 + z2 mu2)
+        - (1 + z1 mu1) h_p(u2) - (1 + z2 mu2) h_p(u1),
+    with u = -1/mu, so that d(1 + z mu)/dz = mu + z mu' and du/dz = mu'/mu^2.
+    sigma2 is None when ops is None.
     """
-    Z1 = z1[..., None]
-    M1 = mu1v[..., None]
-    Z2 = z2[None, :]
-    M2 = mu2v[None, :]
     c = ctx.c_n
-    s2 = ctx.trace_sigma2_over_p
-    log_part = _log_term(M1, M2, Z1, Z2)
-    pref = s2 / c + 1.0 / (c * M1) + 1.0 / (c * M2)
-    prod = (1.0 + Z1 * M1) * (1.0 + Z2 * M2)
-    return log_part + pref * prod - Z1 * M1 - Z2 * M2 - 2.0
-
-
-def _s2_grid(ctx, ops, z1, mu1v, z2, mu2v):
-    """Pre-derivative part of the Hadamard covariance kernel on an outer grid."""
-    c = ctx.c_n
-    u1 = -1.0 / mu1v
-    u2 = -1.0 / mu2v
-    g = ops.g(u1, u2)
-    h2 = ops.h(u2)
-    h1 = ops.h(u1)
-    one1 = (1.0 + z1 * mu1v)[..., None]
-    one2 = (1.0 + z2 * mu2v)[None, :]
-    return (
-        c * g
-        + ctx.zeta_p / c * one1 * one2
-        - one1 * h2[None, :]
-        - one2 * h1[..., None]
+    e1 = (mu1 + z1 * mup1)[:, None]
+    e2 = (mu2 + z2 * mup2)[None, :]
+    s1 = (
+        mup1[:, None] * mup2[None, :] / (mu1[:, None] - mu2[None, :]) ** 2
+        - 1.0 / (z1[:, None] - z2[None, :]) ** 2
+        + ctx.trace_sigma2_over_p / c * e1 * e2
+        + (1.0 - mup1 / mu1**2)[:, None] * e2 / c
+        + (1.0 - mup2 / mu2**2)[None, :] * e1 / c
     )
-
-
-_FD_STEP = 1e-3
-
-
-def _mixed_partial(fn, z1, z2, step=_FD_STEP):
-    """Mixed second partial on an outer grid, Richardson-extrapolated once.
-
-    fn(za, zb) must accept arrays za (offsets x n1) and zb (offsets x n2) and
-    return values on the full outer grid.
-    """
-    h1 = step * np.maximum(1.0, np.abs(z1))
-    h2 = step * np.maximum(1.0, np.abs(z2))
-
-    def estimate(f1, f2):
-        a1, b1 = z1 + f1 * h1, z1 - f1 * h1
-        a2, b2 = z2 + f2 * h2, z2 - f2 * h2
-        za = np.stack([a1, b1])
-        zb = np.stack([a2, b2])
-        S = fn(za, zb)  # (2, n1, 2, n2)
-        num = S[0, :, 0, :] - S[0, :, 1, :] - S[1, :, 0, :] + S[1, :, 1, :]
-        return num / (4.0 * np.outer(f1 * h1, f2 * h2))
-
-    d_h = estimate(1.0, 1.0)
-    d_h2 = estimate(0.5, 0.5)
-    return (4.0 * d_h2 - d_h) / 3.0
-
-
-def _cov_kernel_grid(ctx, ops, z1, z2):
-    """sigma1 + (tau - 3) sigma2 on the outer product of two node sets."""
-    model = ctx.model
-
-    def solve_stack(z_stack):
-        _, mu, _ = solve_stieltjes_grid(model, z_stack)
-        return mu
-
-    def s1_fn(za, zb):
-        mua = solve_stack(za)
-        mub = solve_stack(zb)
-        out = np.empty(za.shape + zb.shape, dtype=complex)
-        for i in range(za.shape[0]):
-            for j in range(zb.shape[0]):
-                out[i, :, j, :] = _s1_grid(ctx, za[i], mua[i], zb[j], mub[j])
-        return out
-
-    total = 2.0 * _mixed_partial(s1_fn, z1, z2)
-    if ctx.tau != 3.0:
-        def s2_fn(za, zb):
-            mua = solve_stack(za)
-            mub = solve_stack(zb)
-            out = np.empty(za.shape + zb.shape, dtype=complex)
-            for i in range(za.shape[0]):
-                for j in range(zb.shape[0]):
-                    out[i, :, j, :] = _s2_grid(ctx, ops, za[i], mua[i], zb[j], mub[j])
-            return out
-
-        total = total + (ctx.tau - 3.0) * _mixed_partial(s2_fn, z1, z2)
-    return total
+    if ops is None:
+        return 2.0 * s1, None
+    u1, up1 = -1.0 / mu1, mup1 / mu1**2
+    u2, up2 = -1.0 / mu2, mup2 / mu2**2
+    s2 = (
+        c * up1[:, None] * up2[None, :] * ops.g_d12(u1, u2)
+        + ctx.zeta_p / c * e1 * e2
+        - e1 * (up2 * ops.h_prime(u2))[None, :]
+        - e2 * (up1 * ops.h_prime(u1))[:, None]
+    )
+    return 2.0 * s1, s2
 
 
 def cov_kernel(ctx, z, z2):
     """(sigma1, sigma2) at a single pair of points; z must differ from z2."""
     if z == z2:
         raise ValueError("covariance kernel is singular at coinciding arguments")
-    ops = _HadamardOps(ctx)
-    z1a = np.atleast_1d(np.asarray(z, dtype=complex))
-    z2a = np.atleast_1d(np.asarray(z2, dtype=complex))
-    model = ctx.model
-
-    def solve_stack(z_stack):
-        _, mu, _ = solve_stieltjes_grid(model, z_stack)
-        return mu
-
-    def make_fn(grid_fn):
-        def fn(za, zb):
-            mua = solve_stack(za)
-            mub = solve_stack(zb)
-            out = np.empty(za.shape + zb.shape, dtype=complex)
-            for i in range(za.shape[0]):
-                for j in range(zb.shape[0]):
-                    out[i, :, j, :] = grid_fn(za[i], mua[i], zb[j], mub[j])
-            return out
-        return fn
-
-    s1 = _mixed_partial(make_fn(lambda *a: _s1_grid(ctx, *a)), z1a, z2a)
-    s2 = _mixed_partial(make_fn(lambda *a: _s2_grid(ctx, ops, *a)), z1a, z2a)
-    return 2.0 * complex(s1[0, 0]), complex(s2[0, 0])
+    za = np.atleast_1d(np.asarray(z, dtype=complex))
+    zb = np.atleast_1d(np.asarray(z2, dtype=complex))
+    s1, s2 = _cov_kernels(ctx, _HadamardOps(ctx), za, *_solve_many(ctx, za), zb, *_solve_many(ctx, zb))
+    return complex(s1[0, 0]), complex(s2[0, 0])
 
 
-def _mean_integral(ctx, ops, fs, contour, npe):
-    z, wq = contour.nodes(npe)
-    mu, mup = _solve_many(ctx, z)
-    kern = _kappa(mu, mup, z, ctx.r_w) + _mu1(ctx, mu, mup, z)
-    if ctx.tau != 3.0:
-        kern = kern + (ctx.tau - 3.0) * _mu2(ctx, ops, mu, mup, z)
-    vals = []
-    for f in fs:
-        fz = np.array([f(zi) for zi in z])
-        vals.append(-np.sum(fz * kern * wq) / (2.0j * np.pi))
-    return np.array(vals)
-
-
-def _cov_integral(ctx, ops, fs, c1, c2, npe):
-    z1, w1 = c1.nodes(npe)
-    z2, w2 = c2.nodes(npe)
-    kern = _cov_kernel_grid(ctx, ops, z1, z2)
-    out = np.empty((len(fs), len(fs)), dtype=complex)
-    f1 = [np.array([f(zi) for zi in z1]) for f in fs]
-    f2 = [np.array([f(zi) for zi in z2]) for f in fs]
-    base = kern * np.outer(w1, w2)
-    for j in range(len(fs)):
-        for l in range(len(fs)):
-            out[j, l] = -np.sum(np.outer(f1[j], f2[l]) * base) / (4.0 * np.pi**2)
-    return out
+def _integrals(ctx, ops, fs, contour, inner, npe):
+    """Mean vector and covariance matrix by quadrature with npe nodes per edge."""
+    z1, w1 = contour.nodes(npe)
+    z2, w2 = inner.nodes(npe)
+    mu1, mup1 = _solve_many(ctx, z1)
+    mu2, mup2 = _solve_many(ctx, z2)
+    kern = _kappa(mu1, mup1, z1, ctx.r_w) + _mu1(ctx, mu1, mup1, z1)
+    sigma1, sigma2 = _cov_kernels(ctx, ops, z1, mu1, mup1, z2, mu2, mup2)
+    if ops is not None:
+        kern = kern + (ctx.tau - 3.0) * _mu2(ctx, ops, mu1, mup1, z1)
+        sigma1 += (ctx.tau - 3.0) * sigma2
+    f1 = np.array([[f(zi) for zi in z1] for f in fs]) * w1
+    f2 = np.array([[f(zi) for zi in z2] for f in fs]) * w2
+    mean = -(f1 @ kern) / (2.0j * np.pi)
+    cov = -(f1 @ sigma1 @ f2.T) / (4.0 * np.pi**2)
+    return mean, cov
 
 
 def lss_normal_approx(ctx, fs, contour=None, tol=1e-6, max_refine=3):
@@ -546,16 +401,14 @@ def lss_normal_approx(ctx, fs, contour=None, tol=1e-6, max_refine=3):
     fs = list(fs)
     if contour is None:
         contour = default_contour(ctx)
-    ops = _HadamardOps(ctx)
+    ops = _HadamardOps(ctx) if ctx.tau != 3.0 else None
     inner = contour.shrink(interval=spectrum_interval(ctx))
 
     npe = contour.nodes_per_edge
-    mean = _mean_integral(ctx, ops, fs, contour, npe)
-    cov = _cov_integral(ctx, ops, fs, contour, inner, npe)
+    mean, cov = _integrals(ctx, ops, fs, contour, inner, npe)
     for _ in range(max_refine):
         npe *= 2
-        mean_new = _mean_integral(ctx, ops, fs, contour, npe)
-        cov_new = _cov_integral(ctx, ops, fs, contour, inner, npe)
+        mean_new, cov_new = _integrals(ctx, ops, fs, contour, inner, npe)
         dm = np.max(np.abs(mean_new - mean)) / max(1e-12, np.max(np.abs(mean_new)), 1.0)
         dc = np.max(np.abs(cov_new - cov)) / max(1e-12, np.max(np.abs(cov_new)), 1.0)
         mean, cov = mean_new, cov_new

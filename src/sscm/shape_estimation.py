@@ -9,7 +9,8 @@ from enum import Enum
 import numpy as np
 from scipy.optimize import least_squares
 
-from .errors import ConvergenceError, UnsupportedConfigError
+from .errors import ConvergenceError, SscmError, UnsupportedConfigError
+from .lss_clt import shape_to_sigma_eigs  # noqa: F401  (re-exported)
 from .mp_law import DiscreteMeasure, _moments_closed
 from .sign_geometry import SampleBatch, sscm
 
@@ -120,7 +121,7 @@ def moment_method_psd(sample_eigs, c_n, num_atoms, return_objective=False):
     for x0 in inits:
         try:
             sol = least_squares(resid, x0, method="lm", xtol=1e-12, ftol=1e-12)
-        except Exception:
+        except (SscmError, np.linalg.LinAlgError):
             continue
         if best is None or sol.cost < best.cost:
             best = sol
@@ -174,14 +175,6 @@ def expand_spectrum(H, p):
         order = np.argsort(-(raw - counts))
         counts[order[:short]] += 1
     return np.sort(np.repeat(vals, counts))
-
-
-def shape_to_sigma_eigs(t_eigs, tau):
-    """Forward expansion: sign-covariance eigenvalues from shape eigenvalues."""
-    t = np.asarray(t_eigs, dtype=float)
-    p = t.size
-    a2 = np.mean(t**2)
-    return t - (tau - 1.0) / p * (t**2 - a2 * t)
 
 
 def sigma_to_shape_eigs(sigma_eigs, tau, p=None, tol=1e-12, max_iter=500):

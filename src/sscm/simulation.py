@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .errors import UnsupportedConfigError
+from .errors import SscmError, UnsupportedConfigError
 from .lss_clt import ShapeContext, beta_centering, beta_moments_normal
 from .shape_estimation import estimate_shape
 from .sign_geometry import SampleBatch, sscm
@@ -107,6 +107,12 @@ def model2_direction(seed, p):
     return _V_CACHE[key]
 
 
+def model2_root(seed, p):
+    """A = T^{1/2} of the second model, T = (I + vv')/(1 + 1/p): sqrt(2) along v."""
+    v = model2_direction(seed, p)
+    return (np.eye(p) + (math.sqrt(2.0) - 1.0) * np.outer(v, v)) / math.sqrt(1.0 + 1.0 / p)
+
+
 def _two_block_diag(p, low, high):
     return np.concatenate([np.full(p // 2, low), np.full(p // 2, high)])
 
@@ -131,11 +137,7 @@ def generate_sample(spec, replicate=0):
         # z = chi^2_2 / 2 - 1 = Exp(1) - 1; w constant, T identity
         X = g.exponential(1.0, size=(n, p)) - 1.0
     elif spec.id == "M2":
-        Z = g.standard_normal((n, p))
-        v = model2_direction(spec.seed, p)
-        # T^{1/2} for T = (I + vv')/(1 + 1/p): sqrt eigenvalue sqrt(2) along v
-        Y = Z + (math.sqrt(2.0) - 1.0) * np.outer(Z @ v, v)
-        Y /= math.sqrt(1.0 + 1.0 / p)
+        Y = g.standard_normal((n, p)) @ model2_root(spec.seed, p)
         w = np.where(g.random(n) < 0.5, 1.0, 0.2)
         X = w[:, None] * Y
     elif spec.id == "M3":
@@ -161,9 +163,7 @@ def model_context(spec, p=None, n=None):
     if spec.id == "M1":
         return ShapeContext.isotropic(p, n, tau=9.0, r_w=1.0)
     if spec.id == "M2":
-        v = model2_direction(spec.seed, p)
-        T = (np.eye(p) + np.outer(v, v)) / (1.0 + 1.0 / p)
-        return ShapeContext.from_matrix(T, n, tau=3.0, r_w=13.0 / 9.0)
+        return ShapeContext.from_matrix(model2_root(spec.seed, p), n, tau=3.0, r_w=13.0 / 9.0)
     if spec.id == "M3":
         return ShapeContext.from_diagonal_shape(
             _two_block_diag(p, 0.5, 1.5), n, tau=4.2, r_w=1.2
@@ -262,7 +262,7 @@ def _benchmark_cell(args):
                 rep = estimate_shape(X, k, reference=T)
                 sums[k] += rep.frobenius_to[1]
                 counts[k] += 1
-            except Exception:
+            except (SscmError, np.linalg.LinAlgError):
                 failures[k] += 1
     out = []
     for k in kinds:
@@ -275,7 +275,8 @@ def run_shape_benchmark(model_ids, epsilons, cfg, p_grid=P_GRID_DEFAULT, n=100, 
     """Mean Frobenius distance of each estimator over a (model, eps, p) grid.
 
     Tyler-based estimators (5, 6) need p < n and are skipped otherwise;
-    any other per-replicate estimator failure is counted, not fatal.
+    a per-replicate estimator failure (a library error or a singular linear
+    solve) is counted, not fatal; any other exception propagates.
     Returns rows (model, epsilon, p, estimator, mean_distance, failures).
     """
     cells = []

@@ -18,6 +18,7 @@ from sscm.lss_clt import (
     mean_kernel,
     spectrum_interval,
 )
+from sscm.mp_law import solve_stieltjes_grid
 
 M1_CTX = ShapeContext.isotropic(200, 100, tau=9.0, r_w=1.0)
 
@@ -25,6 +26,62 @@ M1_CTX = ShapeContext.isotropic(200, 100, tau=9.0, r_w=1.0)
 def m3_ctx(p=200, n=200):
     t = np.concatenate([np.full(p // 2, 0.5), np.full(p // 2, 1.5)])
     return ShapeContext.from_diagonal_shape(t, n, tau=4.2, r_w=1.2)
+
+
+def random_orthogonal(p, seed):
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((p, p)))
+    return Q
+
+
+def dense_ctx(p=12, n=24):
+    """A general (non-symmetric, non-diagonal) mixing matrix, tr(A A') = p."""
+    A = np.random.default_rng(3).standard_normal((p, p)) + 2.0 * np.eye(p)
+    A *= np.sqrt(p / np.trace(A @ A.T))
+    return ShapeContext.from_matrix(A, n, tau=4.2, r_w=1.2)
+
+
+def mixed_partial_oracle(ctx, z1, z2, step=2e-3):
+    """(sigma1, sigma2) by differencing the pre-derivative kernels.
+
+    s1 = log[(mu1 - mu2) / (mu1 mu2 (z1 - z2))]
+         + (s2/c + 1/(c mu1) + 1/(c mu2)) (1 + z1 mu1)(1 + z2 mu2) - z1 mu1 - z2 mu2
+    s2 = c g(u1, u2) + (zeta/c)(1 + z1 mu1)(1 + z2 mu2)
+         - (1 + z1 mu1) h(u2) - (1 + z2 mu2) h(u1),   u = -1/mu,
+    with h(u) = tr(A'(sigma - u)^-1 A A'A)/p and g(u, v) =
+    tr(A'(sigma - u)^-1 A A'(sigma - v)^-1 A)/p from dense resolvents.
+    sigma1 = 2 d^2 s1/dz1 dz2 and sigma2 = d^2 s2/dz1 dz2, by central
+    differences extrapolated once (Richardson).
+    """
+    A = np.asarray(ctx.A, dtype=float)
+    sig = np.asarray(ctx.sigma, dtype=float)
+    if ctx.diagonal:
+        A, sig = np.diag(A), np.diag(sig)
+    p = A.shape[0]
+    c = ctx.c_n
+
+    def res(u):  # A'(sigma - u)^-1 A
+        return A.T @ np.linalg.solve(sig - u * np.eye(p), A)
+
+    def corner(a, b):
+        ma, mb = solve_stieltjes_grid(ctx.model, np.array([a, b]))[1]
+        ea, eb = 1.0 + a * ma, 1.0 + b * mb
+        ratio = (ma - mb) / (ma * mb * (a - b))
+        rest1 = (ctx.trace_sigma2_over_p / c + 1.0 / (c * ma) + 1.0 / (c * mb)) * ea * eb - a * ma - b * mb
+        Ra, Rb = res(-1.0 / ma), res(-1.0 / mb)
+        h = lambda R: np.trace(R @ A.T @ A) / p
+        s2 = c * np.trace(Ra @ Rb) / p + ctx.zeta_p / c * ea * eb - ea * h(Rb) - eb * h(Ra)
+        return ratio, rest1, s2
+
+    def central(dz):
+        pp, pm = corner(z1 + dz, z2 + dz), corner(z1 + dz, z2 - dz)
+        mp, mm = corner(z1 - dz, z2 + dz), corner(z1 - dz, z2 - dz)
+        # the log enters through a ratio close to 1, which stays off the branch cut
+        d_log = np.log(pp[0] * mm[0] / (pm[0] * mp[0]))
+        d1 = d_log + pp[1] - pm[1] - mp[1] + mm[1]
+        d2 = pp[2] - pm[2] - mp[2] + mm[2]
+        return np.array([2.0 * d1, d2]) / (4.0 * dz**2)
+
+    return (4.0 * central(step / 2) - central(step)) / 3.0
 
 
 class TestShapeContext:
@@ -44,11 +101,25 @@ class TestShapeContext:
         t = np.concatenate([np.full(p // 2, 0.5), np.full(p // 2, 1.5)])
         ctx_d = ShapeContext.from_diagonal_shape(t, n, tau=4.2, r_w=1.2)
         ctx_m = ShapeContext.from_matrix(np.diag(np.sqrt(t)), n, tau=4.2, r_w=1.2)
-        z = 1.0 + 0.8j
-        kd = mean_kernel(ctx_d, z)
-        km = mean_kernel(ctx_m, z)
+        z, z2 = 1.0 + 0.8j, 2.1 - 0.5j
+        kd = mean_kernel(ctx_d, z) + cov_kernel(ctx_d, z, z2)
+        km = mean_kernel(ctx_m, z) + cov_kernel(ctx_m, z, z2)
         for a, b in zip(kd, km):
             assert abs(a - b) < 1e-6
+
+    def test_left_rotation_invariance(self):
+        # A = Q diag(sqrt t) has the same T' = A'A and a rotated sigma, so
+        # every kernel equals that of the diagonal context
+        p, n = 30, 60
+        t = np.random.default_rng(1).uniform(0.3, 2.0, p)
+        t *= p / t.sum()
+        ctx_d = ShapeContext.from_diagonal_shape(t, n, tau=4.2, r_w=1.2)
+        ctx_q = ShapeContext.from_matrix(random_orthogonal(p, 2) @ np.diag(np.sqrt(t)), n, tau=4.2, r_w=1.2)
+        for z, z2 in ((1.2 + 0.7j, 0.4 - 0.9j), (2.5 - 0.3j, 1.0 + 1.1j)):
+            kd = mean_kernel(ctx_d, z) + cov_kernel(ctx_d, z, z2)
+            kq = mean_kernel(ctx_q, z) + cov_kernel(ctx_q, z, z2)
+            for a, b in zip(kd, kq):
+                assert abs(a - b) < 1e-8 * max(1.0, abs(b))
 
 
 class TestClosedForms:
@@ -124,6 +195,14 @@ class TestKernels:
         assert abs(s1a - s1b) < 1e-7 * max(1, abs(s1a))
         assert abs(s2a - s2b) < 1e-7 * max(1, abs(s2a))
 
+    @pytest.mark.parametrize("ctx", [dense_ctx(), m3_ctx(40, 80)], ids=["dense", "diagonal"])
+    def test_cov_kernel_matches_differenced_kernels(self, ctx):
+        for z1, z2 in ((1.1 + 0.9j, 2.3 + 0.7j), (0.4 + 0.6j, 3.0 - 0.6j), (2.0 - 0.4j, 0.7 - 1.1j)):
+            want = mixed_partial_oracle(ctx, z1, z2)
+            got = cov_kernel(ctx, z1, z2)
+            for a, b in zip(got, want):
+                assert abs(a - b) < 1e-7 * abs(b)
+
     def test_mean_kernel_finite(self):
         ctx = m3_ctx(100, 100)
         kappa, mu1, mu2 = mean_kernel(ctx, 1.5 + 0.5j)
@@ -148,6 +227,19 @@ class TestContourIntegrals:
         closed = beta_moments_normal(ctx)
         np.testing.assert_allclose(approx.mean, closed.mean, rtol=1e-3)
         np.testing.assert_allclose(approx.covariance, closed.covariance, rtol=2e-3)
+
+    def test_dense_fourth_moment_matches_diagonal(self):
+        # a rotated dense mixing matrix with tau != 3 gives the same
+        # Gaussian approximation as the equivalent diagonal context
+        p, n = 40, 80
+        t = np.concatenate([np.full(p // 2, 0.5), np.full(p // 2, 1.5)])
+        ctx_d = ShapeContext.from_diagonal_shape(t, n, tau=4.2, r_w=1.2)
+        ctx_q = ShapeContext.from_matrix(random_orthogonal(p, 4) @ np.diag(np.sqrt(t)), n, tau=4.2, r_w=1.2)
+        fs = [lambda x: x**2, lambda x: x**3]
+        diag = lss_normal_approx(ctx_d, fs)
+        dense = lss_normal_approx(ctx_q, fs)
+        np.testing.assert_allclose(dense.mean, diag.mean, rtol=1e-8)
+        np.testing.assert_allclose(dense.covariance, diag.covariance, rtol=1e-8)
 
     def test_contour_independence(self):
         fs = [lambda x: x**2]

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from sscm.errors import UnsupportedConfigError
+from sscm import simulation
+from sscm.errors import ConvergenceError, UnsupportedConfigError
 from sscm.simulation import (
     ModelSpec,
     RunConfig,
@@ -101,6 +102,14 @@ class TestModelContext:
         ctx = model_context(ModelSpec("M3", p=100, n=100, seed=0))
         assert ctx.tau == 4.2 and ctx.r_w == 1.2
 
+    def test_m2_context(self):
+        # the mixing matrix is T^{1/2}, so A A' = T has trace p
+        spec = ModelSpec("M2", p=40, n=80, seed=0)
+        ctx = model_context(spec)
+        assert ctx.tau == 3.0 and ctx.r_w == pytest.approx(13.0 / 9.0)
+        assert np.trace(ctx.A @ ctx.A.T) == pytest.approx(40.0)
+        np.testing.assert_allclose(ctx.A @ ctx.A.T, model_shape(spec), atol=1e-12)
+
     def test_m4_has_no_context(self):
         with pytest.raises(UnsupportedConfigError):
             model_context(ModelSpec("M4", p=20, n=100, seed=0))
@@ -123,6 +132,15 @@ class TestRunners:
         parallel = run_qq_experiment(spec, RunConfig(6, workers=3))
         assert serial == parallel
 
+    def test_m2_qq_standard_normal(self):
+        # normalized statistics of model M2 have mean 0 and variance 1,
+        # checked in bands of 5 standard errors
+        reps = 400
+        rows = np.array(run_qq_experiment(ModelSpec("M2", p=40, n=80, seed=11), RunConfig(reps)))
+        for z in (rows[:, 3], rows[:, 4]):
+            assert abs(z.mean()) <= 5.0 * z.std(ddof=1) / np.sqrt(reps)
+            assert abs(z.var(ddof=1) - 1.0) <= 5.0 * np.sqrt(2.0 / (reps - 1))
+
     def test_qq_rejects_contaminated_models(self):
         with pytest.raises(UnsupportedConfigError):
             run_qq_experiment(ModelSpec("M4", p=20, n=100, seed=0), RunConfig(1))
@@ -139,3 +157,18 @@ class TestRunners:
         assert sorted(by_p[40]) == [1, 2, 3, 4, 5, 6]
         assert sorted(by_p[160]) == [1, 2, 3, 4]  # Tyler needs p < n
         assert out.exists() and (tmp_path / "bench.csv.manifest.json").exists()
+
+    def test_benchmark_counts_library_errors_only(self, monkeypatch):
+        def converge_fail(X, kind, **kwargs):
+            raise ConvergenceError("no fixed point")
+
+        monkeypatch.setattr(simulation, "estimate_shape", converge_fail)
+        rows = run_shape_benchmark(("M4",), (0.0,), RunConfig(2), p_grid=(40,), n=100, seed=9)
+        assert [nf for *_, nf in rows] == [2] * 6
+
+        def defect(X, kind, **kwargs):
+            raise TypeError("a defect, not an estimator failure")
+
+        monkeypatch.setattr(simulation, "estimate_shape", defect)
+        with pytest.raises(TypeError):
+            run_shape_benchmark(("M4",), (0.0,), RunConfig(2), p_grid=(40,), n=100, seed=9)
