@@ -19,6 +19,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import ConvergenceError, NumericError
 
@@ -53,9 +54,6 @@ class DiscreteMeasure:
 
     def moment(self, k):
         return float(np.sum(self.weights * self.values**k))
-
-    def max_value(self):
-        return self.atoms[-1][0]
 
     @classmethod
     def point_mass(cls, value):
@@ -284,57 +282,58 @@ def mass_at_zero(model):
     return max(0.0, 1.0 - 1.0 / model.c)
 
 
-_SUPPORT_GRID = 2000
-_SUPPORT_THRESHOLD = 1e-5
+def lsd_support(model):
+    """Support intervals of the continuous part of F, exact from the inverse map.
 
-
-def lsd_support(model, eps=1e-12):
-    """Intervals where the continuous density exceeds a small threshold.
-
-    Grid scan followed by bisection refinement of each edge.  The inversion
-    height must sit far below the threshold scale or the detected edges
-    inherit an O(eps^(2/3)) outward bias; 1e-12 keeps it under 1e-4.
+    In y = -1/mu the inverse map reads x(y) = y (1 + c sum w t / (y - t)),
+    with poles at the nonzero atoms t_1 < ... < t_K of H.  The support edges
+    are the values of x at the real roots of x'(y) = 1 - c sum w t^2 / (y - t)^2
+    (Silverstein and Choi 1995).  Each outer interval (-inf, t_1) and
+    (t_K, inf) holds exactly one root, within sqrt(c alpha_2) of its pole.
+    Between adjacent poles x' is concave, so the gap holds two roots, one on
+    each side of the root of x'', when x' is positive there, and none
+    otherwise.
     """
-    hi = model.H.max_value() * (1.0 + np.sqrt(model.c)) ** 2 * 1.1
-    grid = np.linspace(hi * 1e-4, hi, _SUPPORT_GRID)
-    dens = lsd_density(model, grid, eps=eps)
-    inside = dens > _SUPPORT_THRESHOLD
+    c = model.c
+    keep = model.H.values > 0
+    t, w = model.H.values[keep], model.H.weights[keep]
+    if t.size == 0:
+        return []  # H = delta_0: F = delta_0 has no continuous part
 
-    def refine(lo_x, hi_x, lo_in):
-        # bisect the edge between a point below and a point above threshold
-        for _ in range(60):
-            mid = 0.5 * (lo_x + hi_x)
-            if (lsd_density(model, mid, eps=eps) > _SUPPORT_THRESHOLD) == lo_in:
-                lo_x = mid
-            else:
-                hi_x = mid
-            if hi_x - lo_x < 1e-6:
-                break
-        return 0.5 * (lo_x + hi_x)
+    def x(y):
+        return y * (1.0 + c * np.sum(w * t / (y - t)))
 
-    intervals = []
-    i = 0
-    while i < grid.size:
-        if inside[i]:
-            j = i
-            while j + 1 < grid.size and inside[j + 1]:
-                j += 1
-            left = grid[i] if i == 0 else refine(grid[i - 1], grid[i], False)
-            right = grid[j] if j == grid.size - 1 else refine(grid[j], grid[j + 1], True)
-            intervals.append((float(left), float(right)))
-            i = j + 1
-        else:
-            i += 1
-    return intervals
+    def dx(y):
+        return 1.0 - c * np.sum(w * t**2 / (y - t) ** 2)
+
+    def d2x(y):
+        return np.sum(w * t**2 / (y - t) ** 3)
+
+    # |x' - 1| <= 1/4 at twice that distance from every pole
+    reach = 2.0 * np.sqrt(c * np.sum(w * t**2))
+    roots = [
+        brentq(dx, t[0] - reach, np.nextafter(t[0], -np.inf)),
+        brentq(dx, np.nextafter(t[-1], np.inf), t[-1] + reach),
+    ]
+    for a, b in zip(t[:-1], t[1:]):
+        # nextafter, not a + (b - a) * tiny, which rounds to a for near-equal atoms
+        lo, hi = np.nextafter(a, b), np.nextafter(b, a)
+        # x'' changes sign inside (lo, hi) unless the atoms sit a few ulps apart
+        if lo < hi and d2x(lo) > 0.0 > d2x(hi):
+            peak = brentq(d2x, lo, hi)
+            if dx(peak) > 0.0:
+                roots += [brentq(dx, lo, peak), brentq(dx, peak, hi)]
+    edges = sorted(max(0.0, float(x(y))) for y in roots)  # x(root) ~ -1e-25 when c = 1
+    return list(zip(edges[::2], edges[1::2]))
 
 
-def _moments_closed(c, alpha):
-    """Moments beta_1..beta_6 of F from population moments alpha_1..alpha_6.
+def _moments_closed(c, values, weights):
+    """Moments beta_1..beta_6 of F for H = sum_j weights_j delta(values_j).
 
     Free multiplicative convolution with the Marchenko-Pastur element:
     beta_k sums c^{|pi|-1} prod alpha_{|block|} over non-crossing partitions.
     """
-    a1, a2, a3, a4, a5, a6 = (alpha + [0.0] * 6)[:6]
+    a1, a2, a3, a4, a5, a6 = [float(weights @ values**j) for j in range(1, 7)]
     return [
         a1,
         a2 + c * a1**2,
@@ -358,48 +357,24 @@ def lsd_moments_closed(model, k_max):
     """Closed-form moments of F, available up to order six."""
     if k_max > 6:
         raise ValueError("closed forms implemented up to order 6")
-    alpha = [model.H.moment(k) for k in range(1, 7)]
-    return _moments_closed(model.c, alpha)[:k_max]
+    return _moments_closed(model.c, model.H.values, model.H.weights)[:k_max]
 
 
-def _integrate_density(model, intervals, k, nodes, eps):
-    """Integral of x^k against the continuous density via a sin^2 edge map."""
-    total = 0.0
-    theta, wq = np.polynomial.legendre.leggauss(nodes)
-    theta = 0.25 * np.pi * (theta + 1.0)  # [0, pi/2]
-    wq = wq * 0.25 * np.pi
-    for a, b in intervals:
-        s = np.sin(theta) ** 2
-        x = a + (b - a) * s
-        jac = (b - a) * np.sin(2 * theta)
-        dens = lsd_density(model, x, eps=eps)
-        total += float(np.sum(wq * jac * dens * x**k))
-    return total
+def lsd_moments(model, k_max):
+    """Moments beta_1..beta_k of F, exact for every order.
 
-
-def lsd_moments(model, k_max, eps=1e-6):
-    """Moments beta_1..beta_k of F.
-
-    Orders 1-3 use the exact closed forms; higher orders integrate against
-    the recovered density with node-doubling until 1e-4 relative agreement.
+    In y = -1/mu the inverse map reads z = y phi(1/y), with
+    phi(w) = 1 + c A(w) and A(w) = sum_j alpha_j w^j the moment series of H,
+    while at z = inf  -z mu = 1 + c sum_k beta_k z^-k.  Lagrange inversion of
+    1/z = (1/y) / phi(1/y) gives  beta_k = [w^k] phi(w)^(k+1) / (c (k+1)).
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    out = lsd_moments_closed(model, min(k_max, 3))
-    if k_max <= 3:
-        return out
-    intervals = lsd_support(model, eps=eps)
-    for k in range(4, k_max + 1):
-        nodes = 100
-        prev = _integrate_density(model, intervals, k, nodes, eps)
-        for _ in range(4):
-            nodes *= 2
-            cur = _integrate_density(model, intervals, k, nodes, eps)
-            if abs(cur - prev) <= 1e-4 * max(1.0, abs(cur)):
-                prev = cur
-                break
-            prev = cur
-        else:
-            raise NumericError("moment quadrature did not settle", estimates=(prev, cur))
-        out.append(prev)
+    t, w = model.H.values, model.H.weights
+    series = np.array([1.0] + [model.c * float(w @ t**j) for j in range(1, k_max + 1)])
+    power = series
+    out = []
+    for k in range(1, k_max + 1):
+        power = np.convolve(power, series)[: k_max + 1]  # (1 + c A)^(k+1)
+        out.append(float(power[k]) / (model.c * (k + 1)))
     return out

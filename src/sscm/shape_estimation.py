@@ -67,13 +67,6 @@ def tyler_m_estimator(X, tol=1e-11, max_iter=500):
     raise ConvergenceError("Tyler fixed point did not converge", last_iterate=M, residual=delta)
 
 
-def _model_moments(c_n, values, weights, k):
-    values = np.asarray(values, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    alpha = [float(weights @ values**j) for j in range(1, 7)]
-    return _moments_closed(c_n, alpha)[:k]
-
-
 def moment_method_psd(sample_eigs, c_n, num_atoms, return_objective=False):
     """Recover a small-atom population spectrum from sample eigenvalue moments.
 
@@ -102,7 +95,7 @@ def moment_method_psd(sample_eigs, c_n, num_atoms, return_objective=False):
         vals, w = unpack(theta)
         order = np.argsort(vals)
         with np.errstate(over="ignore"):
-            model = np.array(_model_moments(c_n, vals[order], w[order], k))
+            model = np.array(_moments_closed(c_n, vals[order], w[order])[:k])
         model = np.nan_to_num(model, nan=1e12, posinf=1e12, neginf=-1e12)
         return (model - beta_hat) / scale
 
@@ -154,7 +147,7 @@ def select_num_atoms(sample_eigs, c_n, max_atoms=3, penalty=0.01):
     best = None
     for m in range(1, max_atoms + 1):
         H, _ = moment_method_psd(eigs, c_n, m, return_objective=True)
-        model = np.array(_model_moments(c_n, H.values, H.weights, k))
+        model = np.array(_moments_closed(c_n, H.values, H.weights)[:k])
         score = float(np.sum(((model - beta_hat) / scale) ** 2)) + penalty * (m - 1)
         if best is None or score < best[0]:
             best = (score, H)

@@ -17,7 +17,6 @@ from sscm.lss_clt import (
 from sscm.mp_law import (
     DiscreteMeasure,
     SpectralModel,
-    lsd_moments,
     lsd_moments_closed,
     solve_stieltjes_grid,
 )
@@ -61,7 +60,7 @@ def test_a1_mp_oracle_equivalence():
     _report("A1", worst < 1e-8, f"max |m - quadratic root| = {worst:.2e} (< 1e-8)")
 
 
-def test_a2_moment_identities():
+def test_a2_moment_identities(density_moments):
     """A2: closed-form beta_2/beta_3 identities and quadrature agreement."""
     rng = np.random.default_rng(20)
     worst_closed, worst_quad = 0.0, 0.0
@@ -78,7 +77,7 @@ def test_a2_moment_identities():
             abs(beta[1] - (a[1] + c * a[0] ** 2)),
             abs(beta[2] - (a[2] + 3 * c * a[0] * a[1] + c**2 * a[0] ** 3)),
         )
-        quad = lsd_moments(model, 3)
+        quad = density_moments(model, 3)
         worst_quad = max(
             worst_quad,
             max(abs(q - b) / max(1.0, abs(b)) for q, b in zip(quad, beta)),

@@ -57,6 +57,14 @@ class TestMpSolve:
         assert hi == pytest.approx(4.0, abs=1e-2)
         assert data["moments"][1] == pytest.approx(2.0, abs=1e-3)
 
+    def test_moments_of_any_order(self, capsys):
+        # H = delta_1, c = 1: the moments are the Catalan numbers, exact in floating point
+        code, out, _ = run_cli(
+            capsys, "mp-solve", "--c", "1", "--H", "[[1,1]]", "--z", "1+1i", "--moments", "8",
+        )
+        assert code == 0
+        assert json.loads(out)["moments"] == [1, 2, 5, 14, 42, 132, 429, 1430]
+
     def test_usage_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "mp-solve", "--c", "0.5", "--H", "bad", "--z", "1+1i")
         assert code == 1

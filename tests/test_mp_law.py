@@ -1,9 +1,12 @@
 """Oracle and property tests for the limiting spectral law solver."""
 
 import json
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
 from sscm.mp_law import (
@@ -27,6 +30,53 @@ def quadratic_root(c, z):
 
 MP = lambda c: SpectralModel(c, DiscreteMeasure.point_mass(1.0))
 TWO_ATOM = DiscreteMeasure(((0.5, 0.5), (1.5, 0.5)))
+
+
+def scan_support_edges(model, grid=20001):
+    """Support edges by scanning the sign of x'(y) and bisecting each change.
+
+    x(y) = y (1 + c sum w t / (y - t)) is the inverse map in y = -1/mu; the
+    edges are the values of x where x' changes sign.  The scan covers the
+    intervals between the nonzero atoms, densest next to each pole, and the
+    two outer intervals out to far beyond the last root.
+    """
+    c, t, w = model.c, model.H.values, model.H.weights
+    t, w = t[t > 0], w[t > 0]
+
+    def x(y):
+        return y * (1.0 + c * np.sum(w * t / (y - t)))
+
+    def dx(y):
+        with np.errstate(divide="ignore"):  # a grid point may round onto a pole: x' = -inf
+            return 1.0 - c * np.sum(w * t**2 / (np.asarray(y)[..., None] - t) ** 2, axis=-1)
+
+    far = 10.0 * (1.0 + c) * (1.0 + t[-1])
+    u = np.linspace(0.0, 1.0, grid)[1:-1]
+    pieces = [t[0] - far * (1.0 - u) ** 3, t[-1] + far * u**3]
+    pieces += [a + (b - a) * 0.5 * (1.0 - np.cos(np.pi * u)) for a, b in zip(t[:-1], t[1:])]
+    edges = []
+    for y in pieces:
+        up = dx(y) > 0.0
+        for i in np.nonzero(up[:-1] != up[1:])[0]:
+            lo, hi = y[i], y[i + 1]
+            while np.nextafter(lo, hi) < hi:
+                mid = 0.5 * (lo + hi)
+                if (dx(mid) > 0.0) == up[i]:
+                    lo = mid
+                else:
+                    hi = mid
+            edges.append(x(lo))
+    return sorted(edges)
+
+
+@st.composite
+def spectral_models(draw):
+    """1-4 atoms in [0.05, 5] with weights bounded away from 0, c in [0.005, 3]."""
+    k = draw(st.integers(1, 4))
+    values = sorted(draw(st.lists(st.floats(0.05, 5.0), min_size=k, max_size=k, unique=True)))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+    c = draw(st.floats(0.005, 3.0))
+    return SpectralModel(c, DiscreteMeasure(tuple(zip(values, weights / weights.sum()))))
 
 
 class TestDiscreteMeasure:
@@ -120,8 +170,33 @@ class TestDensitySupport:
         # H = delta_1: support [(1-sqrt(c))^2, (1+sqrt(c))^2]
         for c in (0.25, 0.5, 2.0):
             (lo, hi), = lsd_support(MP(c))
-            assert lo == pytest.approx((1 - np.sqrt(c)) ** 2, abs=1e-3)
-            assert hi == pytest.approx((1 + np.sqrt(c)) ** 2, abs=1e-3)
+            assert lo == pytest.approx((1 - np.sqrt(c)) ** 2, abs=1e-10)
+            assert hi == pytest.approx((1 + np.sqrt(c)) ** 2, abs=1e-10)
+
+    def test_narrow_gap(self):
+        # a gap of width 2.6e-4 near x = 1.0908, narrower than a 2000-point grid step on [0, 1.57]
+        model = SpectralModel(0.0081, DiscreteMeasure(((1.0, 0.5), (1.2, 0.5))))
+        (a, b), (d, e) = lsd_support(model)
+        assert d - b == pytest.approx(2.63e-4, rel=0.01)
+        assert b == pytest.approx(1.0908, abs=1e-4)
+        np.testing.assert_allclose([a, b, d, e], scan_support_edges(model), rtol=1e-10)
+
+    def test_zero_atom(self):
+        # an atom at 0 is not a pole: H = 0.2 delta_0 + 0.8 H' at c acts as H' at 0.8 c
+        H = DiscreteMeasure(((0.0, 0.2), (1.0, 0.4), (2.0, 0.4)))
+        got = np.ravel(lsd_support(SpectralModel(0.5, H)))
+        reduced = SpectralModel(0.4, DiscreteMeasure(((1.0, 0.5), (2.0, 0.5))))
+        np.testing.assert_allclose(got, np.ravel(lsd_support(reduced)), rtol=1e-12)
+        np.testing.assert_allclose(got, scan_support_edges(SpectralModel(0.5, H)), rtol=1e-10)
+        assert lsd_support(SpectralModel(0.5, DiscreteMeasure.point_mass(0.0))) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(spectral_models())
+    def test_edges_match_sign_scan(self, model):
+        got = np.ravel(lsd_support(model))
+        want = scan_support_edges(model)
+        assert len(got) == len(want)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
 
     def test_density_positive_inside_vanishing_outside(self):
         model = MP(1.0)
@@ -175,27 +250,28 @@ class TestMoments:
             assert b[1] == pytest.approx(a[1] + c * a[0] ** 2, rel=1e-12)
             assert b[2] == pytest.approx(a[2] + 3 * c * a[0] * a[1] + c**2 * a[0] ** 3, rel=1e-12)
 
-    def test_quadrature_matches_closed_forms(self):
+    def test_quadrature_matches_closed_forms(self, density_moments):
         for model in (MP(0.5), MP(2.0), SpectralModel(0.8, TWO_ATOM)):
-            quad = lsd_moments(model, 3)
+            quad = density_moments(model, 3)
             closed = lsd_moments_closed(model, 3)
             np.testing.assert_allclose(quad, closed, rtol=1e-4, atol=1e-4)
 
     def test_narayana_moments_for_classical_mp(self):
-        # H = delta_1: beta_k = sum_j N(k, j) c^(j-1), Narayana numbers
+        # H = delta_1: beta_k = sum_j N(k, j) c^(j-1), N(k, j) = C(k, j) C(k, j-1) / k
         c = 0.7
-        beta = lsd_moments_closed(MP(c), 6)
-        narayana = {
-            4: [1, 6, 6, 1],
-            5: [1, 10, 20, 10, 1],
-            6: [1, 15, 50, 50, 15, 1],
-        }
-        for k in (4, 5, 6):
-            expected = sum(nk * c**j for j, nk in enumerate(narayana[k]))
-            assert beta[k - 1] == pytest.approx(expected, rel=1e-12)
+        for beta in (lsd_moments_closed(MP(c), 6), lsd_moments(MP(c), 10)):
+            for k, b in enumerate(beta, start=1):
+                narayana = [comb(k, j) * comb(k, j - 1) // k for j in range(1, k + 1)]
+                expected = sum(n * c**j for j, n in enumerate(narayana))
+                assert b == pytest.approx(expected, rel=1e-12)
 
-    def test_high_moment_quadrature(self):
+    def test_high_moment_quadrature(self, density_moments):
         model = SpectralModel(0.5, TWO_ATOM)
         closed = lsd_moments_closed(model, 6)
-        quad = lsd_moments(model, 6)
+        quad = density_moments(model, 6)
         np.testing.assert_allclose(quad, closed, rtol=2e-4, atol=2e-4)
+
+    @settings(max_examples=100, deadline=None)
+    @given(spectral_models())
+    def test_series_matches_closed_forms(self, model):
+        np.testing.assert_allclose(lsd_moments(model, 6), lsd_moments_closed(model, 6), rtol=1e-12)
