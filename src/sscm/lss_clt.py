@@ -193,9 +193,8 @@ class ContourSpec:
 
 def spectrum_interval(ctx):
     """Interval bracketing the limiting spectrum of the sample SSCM."""
-    sig = ctx.sigma
-    eigs = sig if np.ndim(sig) == 1 else np.linalg.eigvalsh(sig)
-    lam_min, lam_max = float(np.min(eigs)), float(np.max(eigs))
+    eigs = ctx.H_p.values
+    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
     c = ctx.c_n
     left = lam_min * (1.0 - np.sqrt(c)) ** 2 if 0 < c < 1 else 0.0
     right = lam_max * (1.0 + np.sqrt(c)) ** 2

@@ -7,16 +7,20 @@ transform m(z), the unique solution of
 
 picked so that the companion transform  mu(z) = -(1-c)/z + c m(z)  has
 positive imaginary part on the upper half plane.  The companion transform
-is the Stieltjes transform of c F + (1-c) delta_0 and also satisfies the
-inverse map
+is the Stieltjes transform of c F + (1-c) delta_0 and is the unique root
+with Im mu > 0 of the inverse map
 
-    z = -1/mu + c int t / (1 + t mu) dH(t).
+    z = -1/mu + c int t / (1 + t mu) dH(t)
+
+(Silverstein and Bai 1995; Silverstein and Choi 1995).  The solver finds
+that root by Newton's method in mu, continued down from a height above the
+spectrum, and recovers m = -(1/z) int dH(t) / (1 + t mu).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -115,99 +119,50 @@ class StieltjesPair:
     m_under_prime: complex
 
 
-_DAMPING = 0.5
-_FP_TOL = 1e-12
-_FP_MAX_ITER = 10_000
+def _newton(mu, z, c, t, w, steps=60, tol=1e-13):
+    """Newton on the inverse map f(mu) = z + 1/mu - c sum w t / (1 + t mu).
 
-
-def _fp_map(m, z, c, t, w):
-    """Right-hand side of the fixed-point equation, vectorized over m and z."""
-    denom = t * (1.0 - c - c * z[..., None] * m[..., None]) - z[..., None]
-    return np.sum(w / denom, axis=-1)
-
-
-def _newton_polish(mu, z, c, t, w, steps=60, tol=1e-14):
-    """Newton iteration on the inverse map in the companion transform mu."""
+    Where Im z > 0 a step that would take mu out of the upper half plane is
+    halved until it does not.
+    """
+    upper = z.imag > 0
     for _ in range(steps):
         frac = 1.0 + t * mu[..., None]
         f = z + 1.0 / mu - c * np.sum(w * t / frac, axis=-1)
         fp = -1.0 / mu**2 + c * np.sum(w * t**2 / frac**2, axis=-1)
         step = f / fp
+        for _ in range(60):
+            out = upper & ((mu - step).imag <= 0)
+            if not np.any(out):
+                break
+            step = np.where(out, 0.5 * step, step)
         mu = mu - step
-        if np.max(np.abs(step)) < tol:
+        if np.all(np.abs(step) <= tol * np.abs(mu)):
             break
     return mu
 
 
-def _fp_relax(z, c, t, w, m, iters):
-    for _ in range(iters):
-        m_new = (1.0 - _DAMPING) * m + _DAMPING * _fp_map(m, z, c, t, w)
-        if np.max(np.abs(m_new - m)) < _FP_TOL:
-            return m_new
-        m = m_new
-    return m
+def _solve_upper(z, c, t, w):
+    """Companion transform mu at each z with Im z > 0, by continuation in Im z.
 
-
-def _residual(m, z, c, t, w):
-    # relative to |m|: near the origin m scales like 1/|z|
-    return np.abs(m - _fp_map(m, z, c, t, w)) / (1.0 + np.abs(m))
-
-
-def _repair(mu, z, c, t, w):
-    """Fix entries where Newton lost the upper branch or did not converge."""
-    m = (mu + (1.0 - c) / z) / c
-    bad = (_residual(m, z, c, t, w) > 1e-11) | ((z.imag > 1e-12) & (mu.imag <= 0))
-    if np.any(bad):
-        zb = z[bad]
-        mb = _fp_relax(zb, c, t, w, -1.0 / zb, _FP_MAX_ITER)
-        mub = -(1.0 - c) / zb + c * mb
-        mu = mu.copy()
-        mu[bad] = _newton_polish(mub, zb, c, t, w)
+    Above max(t) (1 + sqrt(c))^2 + |Re z| the point is far from the spectrum,
+    so mu is close to -1/z there.  Newton starts from that height and walks
+    it down to Im z by factors of 4, warm-started at each level.
+    """
+    target = z.imag
+    v = np.maximum(target, t[-1] * (1.0 + np.sqrt(c)) ** 2 + np.abs(z.real))
+    zc = z.real + 1j * v
+    mu = _newton(-1.0 / zc, zc, c, t, w)
+    while np.any(v > target):
+        act = v > target
+        v[act] = np.maximum(v[act] / 4.0, target[act])
+        mu[act] = _newton(mu[act], z.real[act] + 1j * v[act], c, t, w)
     return mu
 
 
-def _solve_grid_upper(z, c, t, w, m0=None):
-    """Solve the fixed point for an array of z with Im(z) >= 0.
-
-    Points close to the real axis are reached by continuation: start at a
-    comfortable height where the damped fixed point contracts quickly, then
-    walk the height down with warm-started Newton steps.
-    """
-    z = np.asarray(z, dtype=complex)
-    if m0 is not None:
-        mu = -(1.0 - c) / z + c * np.asarray(m0, dtype=complex)
-        mu = _newton_polish(mu, z, c, t, w)
-        mu = _repair(mu, z, c, t, w)
-    else:
-        v_target = z.imag
-        v = np.maximum(v_target, 1.0)
-        zc = z.real + 1j * v
-        m = _fp_relax(zc, c, t, w, -1.0 / zc, 3000)
-        mu = _newton_polish(-(1.0 - c) / zc + c * m, zc, c, t, w)
-        while np.any(v > v_target):
-            v = np.maximum(v / 4.0, v_target)
-            zc = z.real + 1j * v
-            mu = _newton_polish(mu, zc, c, t, w)
-            mu = _repair(mu, zc, c, t, w)
-    m = (mu + (1.0 - c) / z) / c
-    resid = _residual(m, z, c, t, w)
-    if np.max(resid) > 1e-10:
-        # recovering m from the companion transform loses precision when c is
-        # tiny; the defining map itself is then near-constant, so iterate it
-        for _ in range(100):
-            m_new = _fp_map(m, z, c, t, w)
-            if np.max(np.abs(m_new - m)) < 1e-15:
-                m = m_new
-                break
-            m = m_new
-        resid = _residual(m, z, c, t, w)
-    if np.max(resid) > 1e-10:
-        raise ConvergenceError(
-            "Stieltjes fixed point did not converge",
-            last_iterate=m,
-            residual=float(np.max(resid)),
-        )
-    return m, mu
+def _m_from_mu(mu, z, t, w):
+    # m = -(1/z) int dH(t) / (1 + t mu); unlike (mu + (1 - c)/z) / c it never divides by c
+    return -np.sum(w / (1.0 + t * mu[..., None]), axis=-1) / z
 
 
 def _mu_prime(mu, c, t, w):
@@ -216,44 +171,56 @@ def _mu_prime(mu, c, t, w):
     return 1.0 / dz_dmu
 
 
-def solve_stieltjes_grid(model, zs, m0=None):
+def solve_stieltjes_grid(model, zs):
     """Vectorized transform evaluation; returns arrays (m, m_under, m_under_prime).
 
-    Points in the lower half plane are handled by conjugation symmetry.
-    Real z must lie outside the support of F.
+    The companion transform mu is found by Newton continuation on the inverse
+    map (see _solve_upper) and m is recovered from it.  Points in the lower
+    half plane are handled by conjugation symmetry.  Real z must lie outside
+    the support of F; such points are solved 1e-9 above the axis and then
+    polished on it.  Raises ConvergenceError unless every point satisfies the
+    inverse map to a backward error of 1e-10 relative to its terms, and every
+    point off the real axis has Im mu > 0.
     """
+    c, t, w = model.c, model.H.values, model.H.weights
     zs = np.asarray(zs, dtype=complex)
     flat = zs.ravel()
     lower = flat.imag < 0
     zq = np.where(lower, np.conj(flat), flat)
     real_mask = zq.imag == 0
-    # lift real points slightly to pick the upper-branch solution, then polish
-    z_work = np.where(real_mask, zq + 1e-9j, zq)
-    m, mu = _solve_grid_upper(z_work, model.c, model.H.values, model.H.weights, m0=m0)
+    mu = _solve_upper(np.where(real_mask, zq + 1e-9j, zq), c, t, w)
     if np.any(real_mask):
-        if np.any(np.abs(m.ravel()[real_mask].imag) > 1e-6):
+        # read a transform without an atom at 0, as lsd_density does: mu/c when c > 1, else m
+        mur = mu[real_mask]
+        probe = mur / c if c > 1 else _m_from_mu(mur, zq[real_mask] + 1e-9j, t, w)
+        if np.any(np.abs(probe.imag) > 1e-6):
             raise ValueError("real z lies inside the support of the spectral law")
-        t, w = model.H.values, model.H.weights
-        mu_r = _newton_polish(mu[real_mask].real + 0j, zq[real_mask], model.c, t, w)
-        mu[real_mask] = mu_r
-        m[real_mask] = (mu_r + (1.0 - model.c) / zq[real_mask]) / model.c
-    mup = _mu_prime(mu, model.c, model.H.values, model.H.weights)
+        mu[real_mask] = _newton(mur.real + 0j, zq[real_mask], c, t, w)
+    terms = c * w * t / (1.0 + t * mu[:, None])
+    resid = np.abs(zq + 1.0 / mu - np.sum(terms, axis=-1)) / (
+        np.abs(zq) + np.abs(1.0 / mu) + np.sum(np.abs(terms), axis=-1)
+    )
+    m = _m_from_mu(mu, zq, t, w)
+    if not np.max(resid) <= 1e-10:
+        raise ConvergenceError(
+            "Stieltjes solver did not converge", last_iterate=m, residual=float(np.max(resid))
+        )
+    if np.any((zq.imag > 0) & (mu.imag <= 0)):
+        raise ConvergenceError("companion transform left the upper half plane", last_iterate=m)
+    mup = _mu_prime(mu, c, t, w)
     m = np.where(lower, np.conj(m), m)
     mu = np.where(lower, np.conj(mu), mu)
     mup = np.where(lower, np.conj(mup), mup)
     return m.reshape(zs.shape), mu.reshape(zs.shape), mup.reshape(zs.shape)
 
 
-def solve_stieltjes(model, z, m0=None):
-    """Solve the Marchenko-Pastur fixed point at a single complex point z."""
+def solve_stieltjes(model, z):
+    """Solve the Marchenko-Pastur equation at a single complex point z."""
     z = complex(z)
     if not np.isfinite(z.real) or not np.isfinite(z.imag):
         raise ValueError("z must be finite")
-    m, mu, mup = solve_stieltjes_grid(model, np.array([z]), m0=None if m0 is None else np.array([m0]))
-    m, mu, mup = complex(m[0]), complex(mu[0]), complex(mup[0])
-    if z.imag > 0 and mu.imag <= 0:
-        raise NumericError("companion transform left the upper half plane")
-    return StieltjesPair(m=m, m_under=mu, m_under_prime=mup)
+    m, mu, mup = solve_stieltjes_grid(model, np.array([z]))
+    return StieltjesPair(m=complex(m[0]), m_under=complex(mu[0]), m_under_prime=complex(mup[0]))
 
 
 def lsd_density(model, x, eps=1e-6):

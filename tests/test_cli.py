@@ -65,6 +65,13 @@ class TestMpSolve:
         assert code == 0
         assert json.loads(out)["moments"] == [1, 2, 5, 14, 42, 132, 429, 1430]
 
+    def test_large_c_upper_branch(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "mp-solve", "--c", "5", "--H", "[[0.5,0.5],[1.5,0.5]]", "--z", "0.5+1i"
+        )
+        assert code == 0
+        assert parse_complex(json.loads(out)["m"]).imag > 0
+
     def test_usage_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "mp-solve", "--c", "0.5", "--H", "bad", "--z", "1+1i")
         assert code == 1
@@ -99,6 +106,17 @@ class TestCltMoments:
         assert code == 0
         data = json.loads(out)
         assert data["mean"][0] == pytest.approx(2.0, rel=1e-3)
+
+    def test_contour_matches_closed_large_c(self, capsys):
+        args = ["clt-moments", "--p", "200", "--n", "40", "--shape", "[[0.5,0.5],[1.5,0.5]]"]
+        results = []
+        for method in ("closed", "contour"):
+            code, out, _ = run_cli(capsys, *args, "--method", method)
+            assert code == 0
+            results.append(json.loads(out))
+        closed, contour = results
+        np.testing.assert_allclose(contour["mean"], closed["mean"], rtol=1e-8)
+        np.testing.assert_allclose(contour["cov"], closed["cov"], rtol=1e-8)
 
 
 class TestSphericity:

@@ -228,6 +228,16 @@ class TestContourIntegrals:
         np.testing.assert_allclose(approx.mean, closed.mean, rtol=1e-3)
         np.testing.assert_allclose(approx.covariance, closed.covariance, rtol=2e-3)
 
+    def test_matches_closed_forms_large_c(self):
+        # c = 5: F has an atom at 0 and the left contour edge passes next to it
+        p, n = 200, 40
+        t = np.concatenate([np.full(p // 2, 0.5), np.full(p // 2, 1.5)])
+        ctx = ShapeContext.from_diagonal_shape(t, n, tau=3.0)
+        approx = lss_normal_approx(ctx, [lambda x: x**2, lambda x: x**3])
+        closed = beta_moments_normal(ctx)
+        np.testing.assert_allclose(approx.mean, closed.mean, rtol=1e-8)
+        np.testing.assert_allclose(approx.covariance, closed.covariance, rtol=1e-8)
+
     def test_dense_fourth_moment_matches_diagonal(self):
         # a rotated dense mixing matrix with tau != 3 gives the same
         # Gaussian approximation as the equivalent diagonal context

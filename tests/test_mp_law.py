@@ -28,6 +28,24 @@ def quadratic_root(c, z):
     return roots[np.argmax(roots.imag * np.sign(z.imag))]
 
 
+def polynomial_root(model, z):
+    """Companion transform mu at z with Im z > 0 as a polynomial root.
+
+    Clearing the denominators of the inverse map z = -1/mu + c sum w t / (1 + t mu)
+    gives the degree-(K+1) polynomial
+    (z mu + 1) prod_j (1 + t_j mu) - c mu sum_k w_k t_k prod_{j != k} (1 + t_j mu),
+    whose only root in the upper half plane is the physical one.
+    """
+    P = np.polynomial.Polynomial
+    t, w = model.H.values, model.H.weights
+    factors = [P([1.0, tk]) for tk in t]
+    poly = P([1.0, z]) * np.prod(factors)
+    for k in range(t.size):
+        poly -= P([0.0, model.c * w[k] * t[k]]) * np.prod(factors[:k] + factors[k + 1:])
+    roots = poly.roots()
+    return roots[np.argmax(roots.imag)]
+
+
 MP = lambda c: SpectralModel(c, DiscreteMeasure.point_mass(1.0))
 TWO_ATOM = DiscreteMeasure(((0.5, 0.5), (1.5, 0.5)))
 
@@ -70,12 +88,12 @@ def scan_support_edges(model, grid=20001):
 
 
 @st.composite
-def spectral_models(draw):
-    """1-4 atoms in [0.05, 5] with weights bounded away from 0, c in [0.005, 3]."""
+def spectral_models(draw, c_min=0.005, c_max=3.0):
+    """1-4 atoms in [0.05, 5] with weights bounded away from 0, c in [c_min, c_max]."""
     k = draw(st.integers(1, 4))
     values = sorted(draw(st.lists(st.floats(0.05, 5.0), min_size=k, max_size=k, unique=True)))
     weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
-    c = draw(st.floats(0.005, 3.0))
+    c = draw(st.floats(c_min, c_max))
     return SpectralModel(c, DiscreteMeasure(tuple(zip(values, weights / weights.sum()))))
 
 
@@ -163,6 +181,35 @@ class TestSolver:
     def test_real_z_inside_support_rejected(self):
         with pytest.raises(ValueError):
             solve_stieltjes(MP(0.25), 1.0)
+
+    def test_upper_branch_for_large_c(self):
+        model = SpectralModel(5.0, TWO_ATOM)
+        zs = np.array([0.5 + 1j, -0.75 + 1j, -0.5 + 0.5j])
+        m, mu, _ = solve_stieltjes_grid(model, zs)
+        assert np.all(m.imag > 0) and np.all(mu.imag > 0)
+        for z, got in zip(zs, mu):
+            assert abs(got - polynomial_root(model, z)) < 1e-10
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_polynomial_root(self, data):
+        model = data.draw(spectral_models(c_min=1e-4, c_max=20.0))
+        right = 3.0 * model.H.values[-1] * (1.0 + np.sqrt(model.c)) ** 2
+        z = complex(data.draw(st.floats(-3.0, right)), data.draw(st.floats(1e-3, 3.0)))
+        m, mu, _ = solve_stieltjes_grid(model, np.array([z]))
+        assert m[0].imag > 0 and mu[0].imag > 0
+        want = polynomial_root(model, z)
+        assert abs(mu[0] - want) <= 1e-8 * abs(want)
+
+    @pytest.mark.parametrize("c", [2.0, 5.0])
+    @pytest.mark.parametrize("H", [DiscreteMeasure.point_mass(1.0), TWO_ATOM])
+    def test_near_zero_for_large_c(self, c, H):
+        # F has an atom at 0 when c > 1; the solver and the density must still work next to it
+        model = SpectralModel(c, H)
+        dens = lsd_density(model, np.array([0.0, 1e-12, 1e-6]))
+        assert np.all(np.isfinite(dens)) and np.all(dens >= 0)
+        assert solve_stieltjes(model, 1e-6j).m_under.imag > 0
+        assert solve_stieltjes(model, -1e-3).m.imag == 0
 
 
 class TestDensitySupport:
