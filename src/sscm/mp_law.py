@@ -177,10 +177,12 @@ def solve_stieltjes_grid(model, zs):
     The companion transform mu is found by Newton continuation on the inverse
     map (see _solve_upper) and m is recovered from it.  Points in the lower
     half plane are handled by conjugation symmetry.  Real z must lie outside
-    the support of F; such points are solved 1e-9 above the axis and then
-    polished on it.  Raises ConvergenceError unless every point satisfies the
-    inverse map to a backward error of 1e-10 relative to its terms, and every
-    point off the real axis has Im mu > 0.
+    the support of F, decided by the exact lsd_support intervals and the atom
+    of F at 0 (when c > 1 or H has one); otherwise ValueError.  Such points
+    are solved 1e-9 above the axis and then polished on it.  Raises
+    ConvergenceError unless every point satisfies the inverse map to a
+    backward error of 1e-10 relative to its terms and lies on the physical
+    branch: Im mu > 0 off the real axis, d mu / dz > 0 on it.
     """
     c, t, w = model.c, model.H.values, model.H.weights
     zs = np.asarray(zs, dtype=complex)
@@ -190,12 +192,14 @@ def solve_stieltjes_grid(model, zs):
     real_mask = zq.imag == 0
     mu = _solve_upper(np.where(real_mask, zq + 1e-9j, zq), c, t, w)
     if np.any(real_mask):
-        # read a transform without an atom at 0, as lsd_density does: mu/c when c > 1, else m
-        mur = mu[real_mask]
-        probe = mur / c if c > 1 else _m_from_mu(mur, zq[real_mask] + 1e-9j, t, w)
-        if np.any(np.abs(probe.imag) > 1e-6):
+        x = zq.real[real_mask]
+        # F has an atom at 0 when c > 1 or H has one
+        inside = (x == 0) & (c > 1 or np.any(t == 0))
+        for a, b in lsd_support(model):
+            inside |= (a <= x) & (x <= b)
+        if np.any(inside):
             raise ValueError("real z lies inside the support of the spectral law")
-        mu[real_mask] = _newton(mur.real + 0j, zq[real_mask], c, t, w)
+        mu[real_mask] = _newton(mu[real_mask].real + 0j, zq[real_mask], c, t, w)
     terms = c * w * t / (1.0 + t * mu[:, None])
     resid = np.abs(zq + 1.0 / mu - np.sum(terms, axis=-1)) / (
         np.abs(zq) + np.abs(1.0 / mu) + np.sum(np.abs(terms), axis=-1)
@@ -205,9 +209,10 @@ def solve_stieltjes_grid(model, zs):
         raise ConvergenceError(
             "Stieltjes solver did not converge", last_iterate=m, residual=float(np.max(resid))
         )
-    if np.any((zq.imag > 0) & (mu.imag <= 0)):
-        raise ConvergenceError("companion transform left the upper half plane", last_iterate=m)
     mup = _mu_prime(mu, c, t, w)
+    # the physical branch has Im mu > 0 above the real axis and mu increasing on it
+    if np.any(np.where(real_mask, mup.real <= 0, mu.imag <= 0)):
+        raise ConvergenceError("companion transform is off the physical branch", last_iterate=m)
     m = np.where(lower, np.conj(m), m)
     mu = np.where(lower, np.conj(mu), mu)
     mup = np.where(lower, np.conj(mup), mup)
@@ -327,6 +332,20 @@ def lsd_moments_closed(model, k_max):
     return _moments_closed(model.c, model.H.values, model.H.weights)[:k_max]
 
 
+def _lagrange_moments(c, series, k_max):
+    """beta_1..beta_k of F from phi(w) = 1 + c A(w): beta_k = [w^k] phi^(k+1) / (c (k+1)).
+
+    series holds the coefficients 1, c alpha_1, ..., c alpha_k of phi.
+    """
+    series = series[: k_max + 1]
+    power = series
+    out = []
+    for k in range(1, k_max + 1):
+        power = np.convolve(power, series)[: k_max + 1]  # phi^(k+1)
+        out.append(float(power[k]) / (c * (k + 1)))
+    return out
+
+
 def lsd_moments(model, k_max):
     """Moments beta_1..beta_k of F, exact for every order.
 
@@ -339,9 +358,18 @@ def lsd_moments(model, k_max):
         raise ValueError("k_max must be >= 1")
     t, w = model.H.values, model.H.weights
     series = np.array([1.0] + [model.c * float(w @ t**j) for j in range(1, k_max + 1)])
-    power = series
-    out = []
-    for k in range(1, k_max + 1):
-        power = np.convolve(power, series)[: k_max + 1]  # (1 + c A)^(k+1)
-        out.append(float(power[k]) / (model.c * (k + 1)))
-    return out
+    return _lagrange_moments(model.c, series, k_max)
+
+
+def _population_moments(c, betas):
+    """Moments alpha_1..alpha_k of H from the moments beta_1..beta_k of F.
+
+    In beta_k = [w^k] phi^(k+1) / (c (k+1)) the coefficient of alpha_k is 1
+    and the rest is a polynomial in alpha_1..alpha_{k-1}, so alpha follows
+    order by order: with alpha_k set to 0 the series gives that polynomial.
+    """
+    series = np.zeros(len(betas) + 1)
+    series[0] = 1.0
+    for k, beta in enumerate(betas, start=1):
+        series[k] = c * (beta - _lagrange_moments(c, series, k)[-1])
+    return series[1:] / c

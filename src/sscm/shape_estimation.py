@@ -9,9 +9,9 @@ from enum import Enum
 import numpy as np
 from scipy.optimize import least_squares
 
-from .errors import ConvergenceError, SscmError, UnsupportedConfigError
+from .errors import ConvergenceError, UnsupportedConfigError
 from .lss_clt import shape_to_sigma_eigs  # noqa: F401  (re-exported)
-from .mp_law import DiscreteMeasure, _moments_closed
+from .mp_law import DiscreteMeasure, _moments_closed, _population_moments
 from .sign_geometry import SampleBatch, sscm
 
 
@@ -67,69 +67,110 @@ def tyler_m_estimator(X, tol=1e-11, max_iter=500):
     raise ConvergenceError("Tyler fixed point did not converge", last_iterate=M, residual=delta)
 
 
+# atom values are capped at e^40 in size inside the fit, so that the order-6 moments stay finite
+_LOG_VALUE_CAP = 40.0
+
+
+def _gauss_rule(alphas, m):
+    """The m-atom measure with moments 1, alpha_1..alpha_{2m-1}, or None if it has no valid one.
+
+    Golub and Welsch (1969): with the Hankel matrices H0 = (alpha_{i+j}) = L L'
+    and H1 = (alpha_{i+j+1}), i, j < m, the Jacobi matrix L^-1 H1 L^-T has the
+    atoms as eigenvalues and the squared first components of its unit
+    eigenvectors as weights, which are therefore positive.  Returns None when
+    H0 is not positive definite or an atom is not positive.
+    """
+    a = np.concatenate([[1.0], alphas])
+    idx = np.add.outer(np.arange(m), np.arange(m))
+    try:
+        L = np.linalg.cholesky(a[idx])
+    except np.linalg.LinAlgError:
+        return None
+    L_inv = np.linalg.inv(L)
+    J = L_inv @ a[idx + 1] @ L_inv.T
+    vals, V = np.linalg.eigh(0.5 * (J + J.T))
+    if not vals[0] > 0:
+        return None
+    return vals, V[0] ** 2
+
+
 def moment_method_psd(sample_eigs, c_n, num_atoms, return_objective=False):
     """Recover a small-atom population spectrum from sample eigenvalue moments.
 
-    Matches the first 2*num_atoms spectral moments of the sample against the
-    limiting-law moments of a candidate atomic measure, by bounded least
-    squares over atom positions and simplex weights (multi-start).
+    Fits num_atoms = m atom values and simplex weights (softmax logits) so
+    that the limiting-law moments beta_1..beta_{2m} of the candidate measure
+    match those of the sample, by Levenberg-Marquardt on the 2m residuals
+    scaled by max(|beta_k|, 1e-3).
+
+    The fit starts from the exact inversion.  The population moments
+    alpha_1..alpha_{2m-1} follow from the sample moments by forward
+    substitution (Bai, Chen and Yao 2010), and their Gauss rule is the m-atom
+    measure that matches beta_1..beta_{2m-1} exactly; one fit from there,
+    in the atom values, ends the search.  Only when that rule does not exist
+    (the Hankel matrix is not positive definite or an atom is <= 0), or its
+    fit ends with an atom <= 0, the fit runs instead, in the logs of the
+    atom values, from the sample quantiles and four (two when m = 1) random
+    perturbations of them, and keeps the best.  Atoms with weight < 0.01 are
+    then dropped.  return_objective also returns the sum of squared scaled
+    residuals of the fit.
     """
     if num_atoms not in (1, 2, 3):
         raise ValueError("num_atoms must be 1, 2 or 3")
     eigs = np.asarray(sample_eigs, dtype=float)
-    k = 2 * num_atoms
+    m = num_atoms
+    k = 2 * m
     beta_hat = np.array([np.mean(eigs**j) for j in range(1, k + 1)])
     scale = np.maximum(np.abs(beta_hat), 1e-3)
 
-    m = num_atoms
-
-    def unpack(theta):
-        with np.errstate(over="ignore"):
-            vals = np.exp(np.minimum(theta[:m], 40.0))
+    def unpack(theta, log_values):
+        if log_values:
+            vals = np.exp(np.minimum(theta[:m], _LOG_VALUE_CAP))
+        else:
+            vals = np.clip(theta[:m], -np.exp(_LOG_VALUE_CAP), np.exp(_LOG_VALUE_CAP))
         logits = np.concatenate([theta[m:], [0.0]])
         w = np.exp(logits - logits.max())
-        w = w / w.sum()
-        return vals, w
+        return vals, w / w.sum()
 
-    def resid(theta):
-        vals, w = unpack(theta)
+    def resid(theta, log_values):
+        vals, w = unpack(theta, log_values)
         order = np.argsort(vals)
-        with np.errstate(over="ignore"):
-            model = np.array(_moments_closed(c_n, vals[order], w[order])[:k])
-        model = np.nan_to_num(model, nan=1e12, posinf=1e12, neginf=-1e12)
+        model = np.array(_moments_closed(c_n, vals[order], w[order])[:k])
         return (model - beta_hat) / scale
 
-    # quantile-based initial atom positions, plus perturbations
-    qs = np.quantile(eigs, (np.arange(m) + 0.5) / m)
-    qs = np.maximum(qs, 1e-3)
-    inits = [np.concatenate([np.log(qs), np.zeros(m - 1)])]
+    # Starts as (theta_0, atom values as logs, cost that ends the search).  The
+    # exact start works in the values: MINPACK's first trust radius is a
+    # multiple of |theta_0|, and near log 1 = 0 (m = 1 on a trace-normalized
+    # spectrum) the fit would stop at once.  The fallback works in logs, in
+    # which an atom can run to 0.
+    starts = []
+    gauss = _gauss_rule(_population_moments(c_n, beta_hat[: k - 1]), m)
+    if gauss is not None:
+        vals, w = gauss
+        starts.append((np.concatenate([vals, np.log(w[:-1]) - np.log(w[-1])]), False, np.inf))
+    log_qs = np.log(np.maximum(np.quantile(eigs, (np.arange(m) + 0.5) / m), 1e-3))
+    starts.append((np.concatenate([log_qs, np.zeros(m - 1)]), True, 1e-16))
     rng = np.random.default_rng(12345)
     for _ in range(4 if m > 1 else 2):
-        inits.append(
-            np.concatenate(
-                [np.log(qs) + rng.normal(0, 0.4, m), rng.normal(0, 0.7, m - 1)]
-            )
-        )
+        x0 = np.concatenate([log_qs + rng.normal(0, 0.4, m), rng.normal(0, 0.7, m - 1)])
+        starts.append((x0, True, 1e-16))
     best = None
-    for x0 in inits:
-        try:
-            sol = least_squares(resid, x0, method="lm", xtol=1e-12, ftol=1e-12)
-        except (SscmError, np.linalg.LinAlgError):
-            continue
-        if best is None or sol.cost < best.cost:
-            best = sol
-        if best.cost < 1e-16:
+    for x0, log_values, enough in starts:
+        sol = least_squares(resid, x0, method="lm", xtol=1e-12, ftol=1e-12, args=(log_values,))
+        vals, w = unpack(sol.x, log_values)
+        if np.all(vals > 0) and (best is None or sol.cost < best[0]):
+            best = (sol.cost, vals, w)
+        if best is not None and best[0] < enough:
             break
     if best is None:
         raise ConvergenceError("moment matching failed from every start")
-    vals, w = unpack(best.x)
+    cost, vals, w = best
     keep = w >= 0.01
     if not np.all(keep):
         vals, w = vals[keep], w[keep] / w[keep].sum()
     order = np.argsort(vals)
     H = DiscreteMeasure.from_eigenvalues(vals[order], w[order], merge_tol=1e-8)
     if return_objective:
-        return H, float(2.0 * best.cost)
+        return H, float(2.0 * cost)
     return H
 
 

@@ -19,6 +19,7 @@ from sscm.mp_law import (
     mass_at_zero,
     solve_stieltjes,
     solve_stieltjes_grid,
+    _population_moments,
 )
 
 
@@ -28,13 +29,11 @@ def quadratic_root(c, z):
     return roots[np.argmax(roots.imag * np.sign(z.imag))]
 
 
-def polynomial_root(model, z):
-    """Companion transform mu at z with Im z > 0 as a polynomial root.
+def inverse_map_roots(model, z):
+    """All roots mu of the inverse map z = -1/mu + c sum w t / (1 + t mu).
 
-    Clearing the denominators of the inverse map z = -1/mu + c sum w t / (1 + t mu)
-    gives the degree-(K+1) polynomial
-    (z mu + 1) prod_j (1 + t_j mu) - c mu sum_k w_k t_k prod_{j != k} (1 + t_j mu),
-    whose only root in the upper half plane is the physical one.
+    Clearing its denominators gives the degree-(K+1) polynomial
+    (z mu + 1) prod_j (1 + t_j mu) - c mu sum_k w_k t_k prod_{j != k} (1 + t_j mu).
     """
     P = np.polynomial.Polynomial
     t, w = model.H.values, model.H.weights
@@ -42,8 +41,27 @@ def polynomial_root(model, z):
     poly = P([1.0, z]) * np.prod(factors)
     for k in range(t.size):
         poly -= P([0.0, model.c * w[k] * t[k]]) * np.prod(factors[:k] + factors[k + 1:])
-    roots = poly.roots()
+    return poly.roots()
+
+
+def polynomial_root(model, z):
+    """Companion transform mu at z with Im z > 0: the only root in the upper half plane."""
+    roots = inverse_map_roots(model, z)
     return roots[np.argmax(roots.imag)]
+
+
+def real_polynomial_root(model, x):
+    """Companion transform mu at real x outside the support of F.
+
+    Every root is real there, and the physical one is the only root at which
+    mu increases with x, that is dz/dmu = 1/mu^2 - c sum w t^2 / (1 + t mu)^2 > 0.
+    """
+    t, w = model.H.values, model.H.weights
+    roots = inverse_map_roots(model, x)
+    roots = roots[np.abs(roots.imag) <= 1e-9 * np.abs(roots)].real
+    slope = 1.0 / roots**2 - model.c * np.sum(w * t**2 / (1.0 + np.outer(roots, t)) ** 2, axis=1)
+    (root,) = roots[slope > 0]
+    return root
 
 
 MP = lambda c: SpectralModel(c, DiscreteMeasure.point_mass(1.0))
@@ -212,6 +230,44 @@ class TestSolver:
         assert solve_stieltjes(model, -1e-3).m.imag == 0
 
 
+    # (c, H, edge index): the hard edge at 0 and the soft edge at 4 for c = 1, soft edges for c = 0.5
+    EDGES = [
+        (1.0, DiscreteMeasure.point_mass(1.0), 0),
+        (1.0, DiscreteMeasure.point_mass(1.0), 1),
+        (0.5, DiscreteMeasure.point_mass(1.0), 0),
+        (0.5, DiscreteMeasure.point_mass(1.0), 1),
+        (0.5, TWO_ATOM, 0),
+        (0.5, TWO_ATOM, 1),
+    ]
+
+    EDGE_IDS = ["c1-hard", "c1-soft", "c0.5-lower", "c0.5-upper", "c0.5-two-atom-lower", "c0.5-two-atom-upper"]
+
+    @pytest.mark.parametrize("c, H, edge", EDGES, ids=EDGE_IDS)
+    @pytest.mark.parametrize("dist", [1e-3, 1e-8])
+    def test_real_z_just_outside_the_support(self, c, H, edge, dist):
+        model = SpectralModel(c, H)
+        (lo, hi), = lsd_support(model)
+        x = lo - dist if edge == 0 else hi + dist
+        pair = solve_stieltjes(model, x)
+        assert pair.m.imag == 0 and pair.m_under.imag == 0
+        want = real_polynomial_root(model, x)
+        assert abs(pair.m_under.real - want) <= 1e-9 * abs(want)
+
+    @pytest.mark.parametrize("c, H, edge", EDGES, ids=EDGE_IDS)
+    @pytest.mark.parametrize("dist", [1e-3, 1e-8])
+    def test_real_z_inside_the_support_raises(self, c, H, edge, dist):
+        model = SpectralModel(c, H)
+        (lo, hi), = lsd_support(model)
+        with pytest.raises(ValueError, match="inside the support"):
+            solve_stieltjes(model, lo + dist if edge == 0 else hi - dist)
+
+    def test_atom_at_zero_is_in_the_support(self):
+        # F has an atom at 0 when c > 1, or when H has one
+        for model in (MP(2.0), SpectralModel(0.5, DiscreteMeasure(((0.0, 0.2), (1.0, 0.8))))):
+            with pytest.raises(ValueError, match="inside the support"):
+                solve_stieltjes(model, 0.0)
+
+
 class TestDensitySupport:
     def test_classical_support(self):
         # H = delta_1: support [(1-sqrt(c))^2, (1+sqrt(c))^2]
@@ -317,6 +373,19 @@ class TestMoments:
         closed = lsd_moments_closed(model, 6)
         quad = density_moments(model, 6)
         np.testing.assert_allclose(quad, closed, rtol=2e-4, atol=2e-4)
+
+    def test_forward_substitution_of_narayana_moments(self):
+        # H = delta_1 has alpha_k = 1 for every k
+        np.testing.assert_allclose(_population_moments(0.7, lsd_moments(MP(0.7), 10)), 1.0, rtol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(spectral_models())
+    def test_forward_substitution_inverts_series(self, model):
+        beta = np.array(lsd_moments(model, 8))
+        alpha = _population_moments(model.c, beta)
+        exact = np.array([model.H.moment(k) for k in range(1, 9)])
+        # alpha_k is beta_k less a polynomial in lower moments, so the rounding of beta_k sets the scale
+        assert np.all(np.abs(alpha - exact) <= 1e-12 * np.maximum(exact, beta))
 
     @settings(max_examples=100, deadline=None)
     @given(spectral_models())

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
 from sscm.errors import ConvergenceError, UnsupportedConfigError
-from sscm.mp_law import DiscreteMeasure
+from sscm.mp_law import DiscreteMeasure, _moments_closed, _population_moments
 from sscm.shape_estimation import (
     EstimatorKind,
+    _gauss_rule,
     estimate_shape,
     expand_spectrum,
     moment_method_psd,
@@ -16,6 +20,8 @@ from sscm.shape_estimation import (
     sigma_to_shape_eigs,
     tyler_m_estimator,
 )
+from sscm.sign_geometry import sscm
+from sscm.simulation import ModelSpec, generate_sample
 
 
 class TestPsi:
@@ -69,8 +75,107 @@ class TestTyler:
         M, _ = tyler_m_estimator(X)
         assert np.linalg.norm(M - np.diag(t)) / np.sqrt(5) < 0.1
 
+    def test_zero_observation_raises(self):
+        X = np.random.default_rng(11).standard_normal((50, 5))
+        X[7] = 0.0
+        with pytest.raises(ValueError, match="nonzero"):
+            tyler_m_estimator(X)
+
+
+def _sample_moments(eigs, k):
+    return np.array([np.mean(eigs**j) for j in range(1, k + 1)])
+
+
+def multistart_objective(eigs, c, m, starts=20):
+    """Least scaled moment mismatch over m-atom measures, from many random starts.
+
+    Atom values enter through their logs and weights through softmax logits,
+    as in the fit; the starts perturb the sample quantiles.
+    """
+    beta = _sample_moments(eigs, 2 * m)
+    scale = np.maximum(np.abs(beta), 1e-3)
+
+    def resid(theta):
+        vals = np.exp(np.minimum(theta[:m], 40.0))
+        logits = np.concatenate([theta[m:], [0.0]])
+        w = np.exp(logits - logits.max())
+        return (np.array(_moments_closed(c, vals, w / w.sum())[: 2 * m]) - beta) / scale
+
+    rng = np.random.default_rng(0)
+    log_qs = np.log(np.quantile(eigs, (np.arange(m) + 0.5) / m))
+    best = np.inf
+    for _ in range(starts):
+        x0 = np.concatenate([log_qs + rng.normal(0, 0.7, m), rng.normal(0, 1.0, m - 1)])
+        sol = least_squares(resid, x0, method="lm", xtol=1e-14, ftol=1e-14, gtol=1e-14)
+        best = min(best, 2.0 * sol.cost)
+    return best
+
+
+@pytest.fixture(scope="module")
+def m4_spectra():
+    """Trace-normalized SCM, SSCM and Tyler spectra of one contaminated M4 sample.
+
+    The SCM and SSCM spectra have alpha_1 = 1 + 2e-16, so that a single-atom
+    start at log(alpha_1) would sit near 0 but not at 0, where MINPACK sets
+    the first trust radius differently.
+    """
+    X = generate_sample(ModelSpec("M4", p=80, n=100, epsilon=0.01, seed=12)).data
+    n, p = X.shape
+    spectra = {
+        "SCM": np.linalg.eigvalsh(psi_normalize(X.T @ X / n)),
+        "SSCM": np.linalg.eigvalsh(psi_normalize(sscm(X, center=np.zeros(p)).matrix)),
+        "Tyler": np.linalg.eigvalsh(psi_normalize(tyler_m_estimator(X)[0])),
+    }
+    return spectra, p / n
+
+
+@st.composite
+def atomic_measures(draw):
+    """1-3 atoms in [0.1, 32], at least a factor 1.5 apart, weights >= 0.1 before normalizing."""
+    m = draw(st.integers(1, 3))
+    ratios = draw(st.lists(st.floats(1.5, 4.0), min_size=m - 1, max_size=m - 1))
+    values = draw(st.floats(0.1, 2.0)) * np.cumprod([1.0] + ratios)
+    weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=m, max_size=m)))
+    return values, weights / weights.sum()
+
 
 class TestMomentMethod:
+    # beta_k carries c^(k-1) alpha_1^k, which the forward substitution cancels,
+    # so the rounding error grows with c: over this range it stays below 2e-10
+    @settings(max_examples=200, deadline=None)
+    @given(atomic_measures(), st.floats(0.01, 2.0))
+    def test_exact_inversion_recovers_measure(self, measure, c):
+        values, weights = measure
+        m = values.size
+        beta = _moments_closed(c, values, weights)[: 2 * m - 1]
+        start = _gauss_rule(_population_moments(c, beta), m)
+        assert start is not None
+        np.testing.assert_allclose(start[0], values, rtol=1e-9)
+        np.testing.assert_allclose(start[1], weights, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("spectrum", ["SCM", "SSCM", "Tyler"])
+    def test_objective_matches_multistart(self, m4_spectra, spectrum, m):
+        spectra, c = m4_spectra
+        eigs = spectra[spectrum]
+        _, objective = moment_method_psd(eigs, c, m, return_objective=True)
+        assert objective <= multistart_objective(eigs, c, m) + 1e-8
+
+    def test_no_start_from_a_negative_atom(self):
+        # the moments of 0.5 delta_{-0.5} + 0.5 delta_{1.5} have a Gauss rule, with an atom < 0
+        alphas = [0.5 * (-0.5) ** k + 0.5 * 1.5**k for k in (1, 2, 3)]
+        assert _gauss_rule(alphas, 2) is None
+
+    def test_fallback_when_hankel_is_not_positive_definite(self):
+        # three atoms for a two-level spectrum: the 3 x 3 Hankel matrix is singular up to O(c)
+        eigs = np.repeat([0.5, 1.5], 50)
+        c = 1e-9
+        assert _gauss_rule(_population_moments(c, _sample_moments(eigs, 5)), 3) is None
+        H, objective = moment_method_psd(eigs, c, 3, return_objective=True)
+        np.testing.assert_allclose(H.values, [0.5, 1.5], atol=1e-6)
+        np.testing.assert_allclose(H.weights, [0.5, 0.5], atol=1e-6)
+        assert objective < 1e-12
+
     def test_single_atom_mp_recovery(self):
         rng = np.random.default_rng(6)
         n, p = 800, 400
