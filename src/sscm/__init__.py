@@ -7,7 +7,7 @@ The package covers, in order of the analysis pipeline:
 - `mp_law`: the generalized Marchenko-Pastur limiting spectral law of the
   SSCM (Stieltjes transform solver, density, support, moments);
 - `lss_clt`: mean/covariance of linear spectral statistics via contour
-  integration, plus closed forms for the trace-power statistics;
+  integration in y = -1/mu, plus closed forms for the trace-power statistics;
 - `sphericity`: two robust sphericity tests;
 - `shape_estimation`: six shape-matrix estimators, including
   spectrum-corrected variants;
@@ -17,13 +17,11 @@ The package covers, in order of the analysis pipeline:
 
 from .errors import ConvergenceError, NumericError, SscmError, UnsupportedConfigError
 from .lss_clt import (
-    ContourSpec,
     NormalApprox,
     ShapeContext,
     beta_centering,
     beta_moments_normal,
     cov_kernel,
-    default_contour,
     lss_normal_approx,
     mean_kernel,
     shape_to_sigma_eigs,

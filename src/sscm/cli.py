@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .errors import ConvergenceError, NumericError, SscmError, UnsupportedConfigError
-from .lss_clt import ShapeContext, beta_moments_normal, default_contour, lss_normal_approx
+from .lss_clt import ShapeContext, beta_moments_normal, lss_normal_approx
 from .mp_law import (
     DiscreteMeasure,
     SpectralModel,
@@ -146,7 +146,7 @@ def _cmd_clt_moments(args):
     else:
         powers = [int(k) for k in args.powers.split(",")]
         fs = [(lambda x, k=k: x**k) for k in powers]
-        approx = lss_normal_approx(ctx, fs, default_contour(ctx))
+        approx = lss_normal_approx(ctx, fs)
     _emit(json.loads(approx.to_json()), args, _manifest(args))
     return 0
 

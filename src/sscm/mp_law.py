@@ -179,7 +179,8 @@ def solve_stieltjes_grid(model, zs):
     half plane are handled by conjugation symmetry.  Real z must lie outside
     the support of F, decided by the exact lsd_support intervals and the atom
     of F at 0 (when c > 1 or H has one); otherwise ValueError.  Such points
-    are solved 1e-9 above the axis and then polished on it.  Raises
+    are solved 1e-9 above the axis and then polished on it; z = 0 outside the
+    support is a pole of mu and raises ValueError as well.  Raises
     ConvergenceError unless every point satisfies the inverse map to a
     backward error of 1e-10 relative to its terms and lies on the physical
     branch: Im mu > 0 off the real axis, d mu / dz > 0 on it.
@@ -199,6 +200,9 @@ def solve_stieltjes_grid(model, zs):
             inside |= (a <= x) & (x <= b)
         if np.any(inside):
             raise ValueError("real z lies inside the support of the spectral law")
+        if np.any(x == 0):
+            # outside the support, 0 is a pole of mu = -(1 - c)/z + c m(z)
+            raise ValueError("the companion transform has a pole at z = 0")
         mu[real_mask] = _newton(mu[real_mask].real + 0j, zq[real_mask], c, t, w)
     terms = c * w * t / (1.0 + t * mu[:, None])
     resid = np.abs(zq + 1.0 / mu - np.sum(terms, axis=-1)) / (
@@ -254,6 +258,29 @@ def mass_at_zero(model):
     return max(0.0, 1.0 - 1.0 / model.c)
 
 
+def _x(y, c, t, w):
+    """The inverse map x(y) = y (1 + c sum w t / (y - t)) at real or complex y."""
+    return y * (1.0 + c * np.sum(w * t / (np.asarray(y)[..., None] - t), axis=-1))
+
+
+def _dx(y, c, t, w):
+    """x'(y) = 1 - c sum w t^2 / (y - t)^2 at real or complex y."""
+    return 1.0 - c * np.sum(w * t**2 / (np.asarray(y)[..., None] - t) ** 2, axis=-1)
+
+
+def _outer_critical_roots(c, t, w):
+    """The roots of x' in (-inf, t_1) and (t_K, inf) for the nonzero atoms t of H.
+
+    x increases up to the left one and from the right one on; each lies within
+    sqrt(c alpha_2) of its pole, since |x' - 1| <= 1/4 at twice that distance.
+    """
+    reach = 2.0 * np.sqrt(c * np.sum(w * t**2))
+    return (
+        brentq(_dx, t[0] - reach, np.nextafter(t[0], -np.inf), args=(c, t, w)),
+        brentq(_dx, np.nextafter(t[-1], np.inf), t[-1] + reach, args=(c, t, w)),
+    )
+
+
 def lsd_support(model):
     """Support intervals of the continuous part of F, exact from the inverse map.
 
@@ -261,7 +288,7 @@ def lsd_support(model):
     with poles at the nonzero atoms t_1 < ... < t_K of H.  The support edges
     are the values of x at the real roots of x'(y) = 1 - c sum w t^2 / (y - t)^2
     (Silverstein and Choi 1995).  Each outer interval (-inf, t_1) and
-    (t_K, inf) holds exactly one root, within sqrt(c alpha_2) of its pole.
+    (t_K, inf) holds exactly one root (_outer_critical_roots).
     Between adjacent poles x' is concave, so the gap holds two roots, one on
     each side of the root of x'', when x' is positive there, and none
     otherwise.
@@ -272,30 +299,20 @@ def lsd_support(model):
     if t.size == 0:
         return []  # H = delta_0: F = delta_0 has no continuous part
 
-    def x(y):
-        return y * (1.0 + c * np.sum(w * t / (y - t)))
-
-    def dx(y):
-        return 1.0 - c * np.sum(w * t**2 / (y - t) ** 2)
-
     def d2x(y):
         return np.sum(w * t**2 / (y - t) ** 3)
 
-    # |x' - 1| <= 1/4 at twice that distance from every pole
-    reach = 2.0 * np.sqrt(c * np.sum(w * t**2))
-    roots = [
-        brentq(dx, t[0] - reach, np.nextafter(t[0], -np.inf)),
-        brentq(dx, np.nextafter(t[-1], np.inf), t[-1] + reach),
-    ]
+    atoms = (c, t, w)
+    roots = list(_outer_critical_roots(*atoms))
     for a, b in zip(t[:-1], t[1:]):
         # nextafter, not a + (b - a) * tiny, which rounds to a for near-equal atoms
         lo, hi = np.nextafter(a, b), np.nextafter(b, a)
         # x'' changes sign inside (lo, hi) unless the atoms sit a few ulps apart
         if lo < hi and d2x(lo) > 0.0 > d2x(hi):
             peak = brentq(d2x, lo, hi)
-            if dx(peak) > 0.0:
-                roots += [brentq(dx, lo, peak), brentq(dx, peak, hi)]
-    edges = sorted(max(0.0, float(x(y))) for y in roots)  # x(root) ~ -1e-25 when c = 1
+            if _dx(peak, *atoms) > 0.0:
+                roots += [brentq(_dx, lo, peak, args=atoms), brentq(_dx, peak, hi, args=atoms)]
+    edges = sorted(max(0.0, float(_x(y, *atoms))) for y in roots)  # x(root) ~ -1e-25 when c = 1
     return list(zip(edges[::2], edges[1::2]))
 
 

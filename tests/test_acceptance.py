@@ -10,8 +10,8 @@ from scipy.stats import kstest
 
 from sscm.lss_clt import (
     ShapeContext,
+    _ring_integrals,
     beta_moments_normal,
-    default_contour,
     lss_normal_approx,
 )
 from sscm.mp_law import (
@@ -263,13 +263,13 @@ def test_a7_property_suite():
 
     ctx = ShapeContext.isotropic(200, 100, tau=9.0, r_w=1.0)
     fs = [lambda x: x**2, lambda x: x**3]
-    base = lss_normal_approx(ctx, fs)
-    wide = lss_normal_approx(ctx, fs, default_contour(ctx, v0=1.0))
+    base_mean, base_cov, _ = _ring_integrals(ctx, fs)
+    wide_mean, wide_cov, _ = _ring_integrals(ctx, fs, scale=1.5)
     drift = max(
-        np.max(np.abs(base.mean - wide.mean) / np.maximum(1, np.abs(base.mean))),
-        np.max(np.abs(base.covariance - wide.covariance) / np.abs(base.covariance)),
+        np.max(np.abs(base_mean - wide_mean) / np.maximum(1, np.abs(base_mean))),
+        np.max(np.abs(base_cov - wide_cov) / np.abs(base_cov)),
     )
-    checks["contour v0-doubling drift < 1e-5"] = drift < 1e-5
+    checks["contour radius x1.5 drift < 1e-5"] = drift < 1e-5
 
     t = rng.uniform(0.3, 2.0, size=400)
     t *= 400 / t.sum()

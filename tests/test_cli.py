@@ -106,6 +106,7 @@ class TestCltMoments:
         assert code == 0
         data = json.loads(out)
         assert data["mean"][0] == pytest.approx(2.0, rel=1e-3)
+        assert data["nodes"] == 128 and data["quad_error"] < 1e-9
 
     def test_contour_matches_closed_large_c(self, capsys):
         args = ["clt-moments", "--p", "200", "--n", "40", "--shape", "[[0.5,0.5],[1.5,0.5]]"]

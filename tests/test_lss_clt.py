@@ -4,21 +4,23 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sscm.errors import UnsupportedConfigError
+from sscm.errors import NumericError, UnsupportedConfigError
 from sscm.lss_clt import (
-    ContourSpec,
+    RING_NODES,
     NormalApprox,
     ShapeContext,
+    _ring,
+    _ring_integrals,
     beta_centering,
     beta_moments_normal,
     cov_kernel,
-    default_contour,
     lss_normal_approx,
     mean_kernel,
-    spectrum_interval,
 )
-from sscm.mp_law import solve_stieltjes_grid
+from sscm.mp_law import lsd_support, solve_stieltjes_grid
 
 M1_CTX = ShapeContext.isotropic(200, 100, tau=9.0, r_w=1.0)
 
@@ -164,27 +166,48 @@ class TestClosedForms:
             beta_moments_normal(ctx)
 
 
+def two_level(low, high, p, n, tau=3.0, r_w=1.0):
+    t = np.concatenate([np.full(p // 2, low), np.full(p // 2, high)])
+    return ShapeContext.from_diagonal_shape(t, n, tau=tau, r_w=r_w)
+
+
+def winding(z, dz, a):
+    """(1 / 2 pi i) times the ring's integral of dz / (z - a), for each point a."""
+    return np.sum(dz / (z - np.asarray(a)[..., None]), axis=-1) / (2j * np.pi)
+
+
 class TestContour:
-    def test_contour_encloses_spectrum(self):
-        contour = default_contour(M1_CTX)
-        lo, hi = spectrum_interval(M1_CTX)
-        assert contour.x_left < lo and contour.x_right > hi
+    """The trapezoid rule on circles in y = -1/mu, with z = x(y) and dz = x'(y) dy."""
 
     def test_contour_closure(self):
-        contour = default_contour(M1_CTX)
-        z, w = contour.nodes(256)
-        # integral of 1 over a closed contour vanishes
-        assert abs(np.sum(w)) < 1e-12
-        # integral of 1/(z - a) for an interior point = 2 pi i
-        a = 0.5 * (contour.x_left + contour.x_right)
-        val = np.sum(w / (z - a))
-        assert abs(val - 2j * np.pi) < 1e-6
+        for ctx in (M1_CTX, m3_ctx(), two_level(0.1, 1.9, 200, 40)):
+            (z, dz, _, _), = _ring(ctx, (1.0,))
+            # integral of 1 over a closed contour vanishes
+            assert abs(np.sum(dz)) < 1e-12 * np.sum(np.abs(dz))
+            # integral of 1/(z - a) for an interior point = 2 pi i
+            a, b = lsd_support(ctx.model)[0]
+            assert abs(winding(z, dz, 0.5 * (a + b)) - 1.0) < 1e-12
+
+    def test_contour_encloses_spectrum(self):
+        for ctx in (M1_CTX, m3_ctx(), two_level(0.1, 1.9, 200, 40)):
+            (z, dz, _, _), = _ring(ctx, (1.0,))
+            inside = np.concatenate([np.linspace(a, b, 7) for a, b in lsd_support(ctx.model)])
+            np.testing.assert_allclose(winding(z, dz, inside), 1.0, atol=1e-10)
+            width = np.ptp(z.real)
+            outside = [z.real.min() - width, z.real.max() + width, 2j * np.max(np.abs(z))]
+            np.testing.assert_allclose(winding(z, dz, outside), 0.0, atol=1e-10)
 
     def test_shrink_nests(self):
-        c1 = default_contour(M1_CTX)
-        c2 = c1.shrink(interval=spectrum_interval(M1_CTX))
-        assert c2.v0 < c1.v0
-        assert c2.x_left > c1.x_left and c2.x_right < c1.x_right
+        # every node of the inner circle lies inside the outer contour; for a pole
+        # at 0.9 of the radius the rule's error is about 0.9^128 = 1.4e-6
+        outer, inner = _ring(m3_ctx(), (1.0, 0.9))
+        np.testing.assert_allclose(winding(outer[0], outer[1], inner[0]), 1.0, atol=1e-5)
+        assert np.max(np.abs(inner[0])) < np.max(np.abs(outer[0]))
+
+    @pytest.mark.parametrize("ctx", [M1_CTX, m3_ctx(), two_level(0.1, 1.9, 200, 40)], ids=["iso", "m3", "c5"])
+    def test_circle_off_the_physical_sheet_raises(self, ctx):
+        with pytest.raises(NumericError, match="physical sheet"):
+            _ring_integrals(ctx, [lambda x: x**2], scale=0.2)
 
 
 class TestKernels:
@@ -230,13 +253,66 @@ class TestContourIntegrals:
 
     def test_matches_closed_forms_large_c(self):
         # c = 5: F has an atom at 0 and the left contour edge passes next to it
-        p, n = 200, 40
-        t = np.concatenate([np.full(p // 2, 0.5), np.full(p // 2, 1.5)])
-        ctx = ShapeContext.from_diagonal_shape(t, n, tau=3.0)
+        ctx = two_level(0.5, 1.5, 200, 40)
         approx = lss_normal_approx(ctx, [lambda x: x**2, lambda x: x**3])
         closed = beta_moments_normal(ctx)
-        np.testing.assert_allclose(approx.mean, closed.mean, rtol=1e-8)
-        np.testing.assert_allclose(approx.covariance, closed.covariance, rtol=1e-8)
+        np.testing.assert_allclose(approx.mean, closed.mean, rtol=1e-12)
+        np.testing.assert_allclose(approx.covariance, closed.covariance, rtol=1e-12)
+
+    def test_dense_gaussian_matches_closed_forms(self):
+        p, n = 40, 80
+        t = np.concatenate([np.full(p // 2, 0.5), np.full(p // 2, 1.5)])
+        ctx = ShapeContext.from_matrix(random_orthogonal(p, 4) @ np.diag(np.sqrt(t)), n, tau=3.0, r_w=13.0 / 9.0)
+        approx = lss_normal_approx(ctx, [lambda x: x**2, lambda x: x**3])
+        closed = beta_moments_normal(ctx)
+        np.testing.assert_allclose(approx.mean, closed.mean, rtol=1e-12)
+        np.testing.assert_allclose(approx.covariance, closed.covariance, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "shape", [(0.5, 1.5, 200, 20), (0.1, 1.9, 200, 40), (0.2, 1.8, 400, 80)], ids=["c10", "wide", "p400"]
+    )
+    def test_wide_shapes_at_large_c(self, shape):
+        ctx = two_level(*shape)
+        approx = lss_normal_approx(ctx, [lambda x: x**2, lambda x: x**3])
+        closed = beta_moments_normal(ctx)
+        np.testing.assert_allclose(approx.mean, closed.mean, rtol=1e-10)
+        np.testing.assert_allclose(approx.covariance, closed.covariance, rtol=1e-10)
+
+    def test_wide_shape_fourth_moment_at_large_c(self):
+        # tau != 3 has no exact closed form; the reference is Gauss-Legendre on a
+        # rectangle in z with 1024 nodes per edge and the Stieltjes solver at every node
+        approx = lss_normal_approx(two_level(0.25, 1.75, 200, 40, tau=4.2), [lambda x: x**2, lambda x: x**3])
+        np.testing.assert_allclose(approx.mean, [17.226737187499815, 210.0406346874979], rtol=1e-10)
+        np.testing.assert_allclose(
+            approx.covariance,
+            [[248.6890963354051, 4993.778950589957], [4993.778950589957, 103175.9119006665]],
+            rtol=1e-10,
+        )
+
+    def test_large_entries_are_real(self):
+        # covariance entries up to 1.2e9, whose imaginary rounding (about 2e-4) exceeds 1e-6
+        ctx = two_level(0.1, 1.9, 200, 20)
+        approx = lss_normal_approx(ctx, [lambda x: x**3, lambda x: x**4])
+        assert approx.covariance[1, 1] > 1e9
+        closed = beta_moments_normal(ctx)
+        assert approx.mean[0] == pytest.approx(closed.mean[1], rel=1e-10)
+        assert approx.covariance[0, 0] == pytest.approx(closed.covariance[1, 1], rel=1e-10)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.lists(st.floats(0.1, 3.0), min_size=1, max_size=3, unique=True),
+        counts=st.lists(st.integers(1, 20), min_size=3, max_size=3),
+        c=st.floats(1e-2, 10.0),
+        r_w=st.floats(1.0, 1.5),
+    )
+    def test_ring_matches_closed_forms(self, values, counts, c, r_w):
+        t = np.repeat(values, counts[: len(values)])
+        t *= t.size / t.sum()
+        ctx = ShapeContext.from_diagonal_shape(t, t.size / c, tau=3.0, r_w=r_w)
+        approx = lss_normal_approx(ctx, [lambda x: x**2, lambda x: x**3])
+        closed = beta_moments_normal(ctx)
+        np.testing.assert_allclose(approx.mean, closed.mean, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(approx.covariance, closed.covariance, rtol=1e-9)
 
     def test_dense_fourth_moment_matches_diagonal(self):
         # a rotated dense mixing matrix with tau != 3 gives the same
@@ -253,12 +329,24 @@ class TestContourIntegrals:
 
     def test_contour_independence(self):
         fs = [lambda x: x**2]
-        base = lss_normal_approx(M1_CTX, fs)
-        wider = lss_normal_approx(M1_CTX, fs, default_contour(M1_CTX, v0=1.0))
-        assert abs(base.mean[0] - wider.mean[0]) < 1e-5 * max(1, abs(base.mean[0]))
-        assert abs(base.covariance[0, 0] - wider.covariance[0, 0]) < 1e-5 * abs(
-            base.covariance[0, 0]
-        )
+        base, base_cov, _ = _ring_integrals(M1_CTX, fs)
+        for scale in (0.8, 1.5):
+            other, other_cov, _ = _ring_integrals(M1_CTX, fs, scale=scale)
+            assert abs(base[0] - other[0]) < 1e-5 * max(1, abs(base[0]))
+            assert abs(base_cov[0, 0] - other_cov[0, 0]) < 1e-5 * abs(base_cov[0, 0])
+
+    def test_unconverged_quadrature_raises(self):
+        # f has a pole just outside the ring, so the rule on every other node disagrees
+        (z, _, _, _), = _ring(M1_CTX, (1.0,))
+        a = z.real.max() + 0.1
+        with pytest.raises(NumericError, match="not converged"):
+            lss_normal_approx(M1_CTX, [lambda x: 1.0 / (x - a)])
+
+    def test_reports_quadrature(self):
+        approx = lss_normal_approx(m3_ctx(), [lambda x: x**2, lambda x: x**3])
+        assert approx.nodes == RING_NODES == 128
+        assert 0.0 < approx.quad_error < 1e-9
+        assert beta_moments_normal(m3_ctx()).nodes == 0
 
 
 class TestNormalApprox:
@@ -267,6 +355,7 @@ class TestNormalApprox:
         data = json.loads(approx.to_json())
         assert data["mean"] == [1.0, 2.0]
         assert data["cov"][0] == [2.0, 0.5]
+        assert data["nodes"] == 0 and data["quad_error"] == 0.0
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):

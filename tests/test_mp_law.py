@@ -267,6 +267,14 @@ class TestSolver:
             with pytest.raises(ValueError, match="inside the support"):
                 solve_stieltjes(model, 0.0)
 
+    def test_pole_at_zero_raises(self):
+        # c < 1 and no atom of H at 0: z = 0 lies outside the support and mu has a pole there
+        for model in (MP(0.5), SpectralModel(0.3, DiscreteMeasure(((0.5, 0.5), (1.5, 0.5))))):
+            with pytest.raises(ValueError, match="pole at z = 0"):
+                solve_stieltjes(model, 0.0)
+            with pytest.raises(ValueError, match="pole at z = 0"):
+                solve_stieltjes_grid(model, np.array([-0.01, 0.0, 1.0 + 1.0j]))
+
 
 class TestDensitySupport:
     def test_classical_support(self):
