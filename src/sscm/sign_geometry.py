@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +51,7 @@ class SpatialMedianResult:
     median: np.ndarray
     iterations: int
     residual_norm: float
+    newton_steps: int = 0  # Newton candidates accepted as the iterate
 
 
 @dataclass(frozen=True)
@@ -86,18 +88,76 @@ def spatial_signs(X):
     return X / safe[:, None]
 
 
-def _median_objective(X, mu):
-    return float(np.sum(np.linalg.norm(X - mu, axis=1)))
+class _Point(NamedTuple):
+    """One pass over the data at a candidate mu."""
+
+    mu: np.ndarray
+    d: np.ndarray  # ||x_j - mu||
+    signs: np.ndarray  # (x_j - mu) / d_j, zero rows where d_j = 0
+    ssum: np.ndarray  # sum_j signs_j
+    obj: float  # sum_j d_j
+    residual: float  # ||mean_j signs_j||
 
 
-def _median_gradient(X, mu):
-    """Gradient of the objective over non-coincident points; Vardi-Zhang bookkeeping."""
+def _evaluate(X, mu):
     diff = X - mu
     d = np.linalg.norm(diff, axis=1)
-    hit = d < 1e-12
-    dd = np.where(hit, 1.0, d)
-    grad = -np.sum(diff[~hit] / dd[~hit, None], axis=0)
-    return grad, d, hit
+    signs = diff / np.where(d == 0.0, 1.0, d)[:, None]
+    ssum = signs.sum(axis=0)
+    return _Point(mu, d, signs, ssum, float(d.sum()), float(np.linalg.norm(ssum / len(d))))
+
+
+def _newton_step(signs, d, r):
+    """Solve H step = r, H = a I - V'U the objective's Hessian off the data
+    (U = signs, V = signs / d, a = sum 1/d).  For p > n, by Woodbury in n
+    dimensions: step = (r + V'(a I_n - U V')^{-1} U r) / a.
+    """
+    n, p = signs.shape
+    V = signs / d[:, None]
+    a = np.sum(1.0 / d)
+    if p <= n:
+        return np.linalg.solve(a * np.eye(p) - V.T @ signs, r)
+    return (r + V.T @ np.linalg.solve(a * np.eye(n) - signs @ V.T, signs @ r)) / a
+
+
+def _spatial_median(X, tol, max_iter):
+    """spatial_median of a float array, with the evaluation at the median."""
+    if np.allclose(X, X[0]):
+        raise ValueError("observations must not be all identical")
+    cur = _evaluate(X, np.median(X, axis=0))
+    obj, newton_steps = cur.obj, 0
+    for iterations in range(1, max_iter + 1):
+        hit = cur.d < 1e-12
+        n_hit = int(hit.sum())
+        weights = 1.0 / np.where(hit, np.inf, cur.d)
+        t_step = weights @ X / weights.sum()
+        newton = None
+        if n_hit:
+            gn = np.linalg.norm(cur.signs[~hit].sum(axis=0))
+            if gn <= n_hit:
+                # a data point is the minimizer; the sign-sum equation has no
+                # exact root there, so report the achieved residual
+                end = _evaluate(X, X[hit][0])
+                return SpatialMedianResult(end.mu, iterations, end.residual, newton_steps), end
+            lam = min(1.0, n_hit / gn)
+            cand = _evaluate(X, (1.0 - lam) * t_step + lam * cur.mu)
+        else:
+            cand = _evaluate(X, t_step)
+            # Newton polish once Weiszfeld has localized the solution; accepted
+            # on residual decrease (the objective is flat to rounding there)
+            if cur.residual < 1e-4:
+                try:
+                    newton = _evaluate(X, cur.mu + _newton_step(cur.signs, cur.d, cur.ssum))
+                    cand = newton if newton.residual < cand.residual else cand
+                except np.linalg.LinAlgError:
+                    pass
+        if cand.obj <= obj * (1.0 + 1e-14):
+            cur, obj = cand, min(obj, cand.obj)
+            newton_steps += cand is newton
+        if cur.residual <= tol:
+            return SpatialMedianResult(cur.mu, iterations, cur.residual, newton_steps), cur
+    raise ConvergenceError("spatial median did not reach tolerance",
+                           last_iterate=cur.mu, residual=cur.residual)
 
 
 def spatial_median(X, tol=DEFAULT_MEDIAN_TOL, max_iter=DEFAULT_MEDIAN_MAX_ITER):
@@ -106,74 +166,18 @@ def spatial_median(X, tol=DEFAULT_MEDIAN_TOL, max_iter=DEFAULT_MEDIAN_MAX_ITER):
     Modified Weiszfeld iteration with the Vardi-Zhang correction when an
     iterate coincides with a data point, followed by damped Newton polishing
     once the basin is reached.  The objective sum ||x_j - mu|| never
-    increases along the iteration.
+    increases along the iteration.  Each point is evaluated once, in one
+    pass over the data; the Newton step is solved in min(n, p) dimensions.
     """
     if isinstance(X, SampleBatch):
         X = X.data
-    X = np.asarray(X, dtype=float)
-    n, p = X.shape
-    if np.allclose(X, X[0]):
-        raise ValueError("observations must not be all identical")
-    mu = np.median(X, axis=0)
-    obj = _median_objective(X, mu)
-    iterations = 0
-
-    def residual(mu):
-        return float(np.linalg.norm(np.mean(spatial_signs(X - mu), axis=0)))
-
-    for _ in range(max_iter):
-        iterations += 1
-        grad, d, hit = _median_gradient(X, mu)
-        n_hit = int(hit.sum())
-        weights = 1.0 / np.where(hit, np.inf, d)
-        wsum = weights.sum()
-        t_step = np.sum(X * weights[:, None], axis=0) / wsum
-        if n_hit:
-            gn = np.linalg.norm(grad)
-            if gn <= n_hit:
-                # a data point is the minimizer; the sign-sum equation has no
-                # exact root there, so report the achieved residual
-                mu = X[hit][0]
-                return SpatialMedianResult(
-                    median=mu, iterations=iterations, residual_norm=residual(mu)
-                )
-            lam = min(1.0, n_hit / gn)
-            cand = (1.0 - lam) * t_step + lam * mu
-        else:
-            cand = t_step
-        # Newton polish once Weiszfeld has localized the solution; accepted on
-        # residual decrease (the objective is flat to rounding there)
-        if not n_hit and residual(mu) < 1e-4:
-            diff = X - mu
-            u = diff / d[:, None]
-            hess = wsum * np.eye(p) - (u / d[:, None]).T @ u
-            try:
-                step = np.linalg.solve(hess, -grad)
-                newton = mu + step
-                if residual(newton) < residual(cand):
-                    cand = newton
-            except np.linalg.LinAlgError:
-                pass
-        cand_obj = _median_objective(X, cand)
-        if cand_obj <= obj * (1.0 + 1e-14):
-            mu, obj = cand, min(obj, cand_obj)
-        res = residual(mu)
-        if res <= tol:
-            return SpatialMedianResult(median=mu, iterations=iterations, residual_norm=res)
-    res = residual(mu)
-    if res <= tol:
-        return SpatialMedianResult(median=mu, iterations=iterations, residual_norm=res)
-    raise ConvergenceError(
-        "spatial median did not reach tolerance",
-        last_iterate=mu,
-        residual=res,
-    )
+    return _spatial_median(np.asarray(X, dtype=float), tol, max_iter)[0]
 
 
 def sscm(X, center="estimate", tol=DEFAULT_MEDIAN_TOL, max_iter=DEFAULT_MEDIAN_MAX_ITER):
     """Sample SSCM B = (p/n) sum s(x_j - center) s(x_j - center)'.
 
-    center: "estimate" fits the spatial median; a vector uses a known mean.
+    center: "estimate" fits the spatial median, reusing its signs; a vector is a known mean.
     """
     if isinstance(X, SampleBatch):
         X = X.data
@@ -183,20 +187,16 @@ def sscm(X, center="estimate", tol=DEFAULT_MEDIAN_TOL, max_iter=DEFAULT_MEDIAN_M
     if isinstance(center, str):
         if center != "estimate":
             raise ValueError("center must be 'estimate' or a vector")
-        med_result = spatial_median(X, tol=tol, max_iter=max_iter)
-        mu = med_result.median
+        med_result, point = _spatial_median(X, tol, max_iter)
         centered_by = "SampleSpatialMedian"
     else:
-        mu = np.asarray(center, dtype=float)
+        point = _evaluate(X, np.asarray(center, dtype=float))
         centered_by = "KnownMean"
-    diff = X - mu
-    norms = np.linalg.norm(diff, axis=1)
-    degenerate = int(np.sum(norms == 0.0))
+    degenerate = int(np.sum(point.d == 0.0))
     n_eff = n - degenerate
     if n_eff == 0:
         raise ValueError("all rows coincide with the centering point")
-    S = spatial_signs(diff)
-    B = (p / n_eff) * (S.T @ S)
+    B = (p / n_eff) * (point.signs.T @ point.signs)
     B = 0.5 * (B + B.T)
     return SscmMatrix(
         matrix=B,
