@@ -26,11 +26,14 @@ from .mp_law import (
 from .shape_estimation import estimate_shape
 from .sign_geometry import SampleBatch, estimate_rw, sscm
 from .simulation import (
+    BENCHMARK_CSV,
     MODEL_IDS,
+    QQ_CSV,
     ModelSpec,
     RunConfig,
     run_qq_experiment,
     run_shape_benchmark,
+    write_csv,
 )
 from .sphericity import frobenius_sphericity_test, kl_sphericity_test
 
@@ -68,7 +71,7 @@ def _parse_measure(text):
 
 
 def _resolve_seed(args):
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("SSCM_SEED")
     if env is not None:
@@ -190,29 +193,21 @@ def _cmd_shape_estimate(args):
 
 
 def _cmd_simulate(args):
-    seed = _resolve_seed(args)
+    args.seed = _resolve_seed(args)
     cfg = RunConfig(args.reps, workers=args.workers, output_path=args.output)
     if args.model in ("M1", "M2", "M3"):
-        spec = ModelSpec(args.model, p=args.p, n=args.n, seed=seed)
-        rows = run_qq_experiment(spec, cfg, tau=args.tau)
-        if args.output is None:
-            sys.stdout.write(
-                "replicate,beta2_hat,beta3_hat,z2_normalized,z3_normalized\n"
-            )
-            for r, b2, b3, z2, z3 in rows:
-                sys.stdout.write("%d,%.17g,%.17g,%.17g,%.17g\n" % (r, b2, b3, z2, z3))
-            print(json.dumps({"manifest": _manifest(args)}), file=sys.stderr)
+        spec = ModelSpec(args.model, p=args.p, n=args.n, seed=args.seed)
+        rows, layout = run_qq_experiment(spec, cfg, tau=args.tau), QQ_CSV
     else:
         eps = [float(e) for e in args.epsilon.split(",")]
         p_grid = tuple(int(p) for p in args.p_grid.split(","))
         rows = run_shape_benchmark(
-            (args.model,), eps, cfg, p_grid=p_grid, n=args.n or 100, seed=seed
+            (args.model,), eps, cfg, p_grid=p_grid, n=args.n or 100, seed=args.seed
         )
-        if args.output is None:
-            sys.stdout.write("model,epsilon,p,estimator,mean_frobenius_distance,failures\n")
-            for mid, e, p, k, mean, nf in rows:
-                sys.stdout.write("%s,%.17g,%d,%d,%.17g,%d\n" % (mid, e, p, k, mean, nf))
-            print(json.dumps({"manifest": _manifest(args)}), file=sys.stderr)
+        layout = BENCHMARK_CSV
+    if args.output is None:
+        write_csv(sys.stdout, layout, rows)
+        print(json.dumps({"manifest": _manifest(args)}), file=sys.stderr)
     return 0
 
 

@@ -81,55 +81,49 @@ class ShapeContext:
         )
 
     @staticmethod
-    def from_diagonal_shape(t_diag, n, tau=3.0, r_w=1.0, sign_correction=True):
+    def from_diagonal_shape(t_diag, n, tau=3.0, r_w=1.0):
         """Context for a diagonal shape matrix T = diag(t_diag), trace p.
 
-        When sign_correction is on, the population sign covariance is the
-        second-order expansion of T (diagonal specialization), whose O(1/p)
-        difference from T matters at the CLT scale.
+        The population sign covariance is the second-order expansion of T
+        (diagonal specialization), whose O(1/p) difference from T matters at
+        the CLT scale.
         """
         t = np.asarray(t_diag, dtype=float)
         p = t.size
         if abs(t.sum() - p) > 1e-8 * p:
             raise ValueError("diagonal shape must have trace p")
-        if sign_correction:
-            sig = shape_to_sigma_eigs(t, tau)
-        else:
-            sig = t.copy()
-        a = np.sqrt(t)
+        sig = shape_to_sigma_eigs(t, tau)
         H_p = DiscreteMeasure.from_eigenvalues(sig)
         return ShapeContext(
             c_n=p / n,
             H_p=H_p,
             tau=tau,
             r_w=r_w,
-            A=a,
+            A=np.sqrt(t),
             sigma=sig,
             trace_sigma2_over_p=float(np.mean(sig**2)),
             zeta_p=float(np.mean(t**2)),
         )
 
     @staticmethod
-    def from_matrix(A, n, tau=3.0, r_w=1.0, sigma=None):
+    def from_matrix(A, n, tau=3.0, r_w=1.0):
         """Context for a general mixing matrix A with T = A A' of trace p."""
         A = np.asarray(A, dtype=float)
         p = A.shape[0]
         T = A @ A.T
         if abs(np.trace(T) - p) > 1e-8 * p:
             raise ValueError("shape matrix A A' must have trace p")
-        if sigma is None:
-            At = A.T @ A
-            dT = np.diag(np.diag(At))
-            corr = (
-                -(tau - 3.0) / p * (A @ dT @ A.T)
-                - 2.0 / p * (T @ T)
-                + ((tau - 3.0) / p**2 * np.sum(np.diag(At) ** 2) + 2.0 / p**2 * np.trace(T @ T)) * T
-            )
-            sigma = T + corr
-            sigma = 0.5 * (sigma + sigma.T)
+        At = A.T @ A
+        dT = np.diag(np.diag(At))
+        corr = (
+            -(tau - 3.0) / p * (A @ dT @ A.T)
+            - 2.0 / p * (T @ T)
+            + ((tau - 3.0) / p**2 * np.sum(np.diag(At) ** 2) + 2.0 / p**2 * np.trace(T @ T)) * T
+        )
+        sigma = T + corr
+        sigma = 0.5 * (sigma + sigma.T)
         eigs = np.linalg.eigvalsh(sigma)
         H_p = DiscreteMeasure.from_eigenvalues(eigs, merge_tol=1e-9)
-        At = A.T @ A
         return ShapeContext(
             c_n=p / n,
             H_p=H_p,
@@ -332,6 +326,9 @@ def _ring(ctx, scales):
     sr + (sr - sl)/4, where [sl, sr] = [t_1 (1 - sqrt c)^2, t_K (1 + sqrt c)^2]
     (sl = 0 when c >= 1) brackets the spectrum; off [t_1, t_K],
     x(y) - y - c alpha_1 has the sign of y - t_1, which brackets both.
+    The mean kernel's pole at the y* > t_K with c sum w t / (y* - t) =
+    1/(r_w - 1) has y* - t_K <= c alpha_1 (r_w - 1), so a right crossing of
+    at least t_K + 2 c alpha_1 (r_w - 1) lies at least y* - t_K beyond it.
     Per radius factor in `scales`, returns z = x(y), the weights x'(y) dy of
     dz, mu = -1/y and mu' = 1/(y^2 x'(y)) at nodes half a step off the real
     axis, counter-clockwise.  On the physical sheet Im z and Im y share their
@@ -345,6 +342,7 @@ def _ring(ctx, scales):
     lo, hi = _outer_critical_roots(*atoms)
     lo = brentq(lambda y: _x(y, *atoms) - z_lo, z_lo - shift, lo)
     hi = brentq(lambda y: _x(y, *atoms) - z_hi, hi, z_hi - shift)
+    hi = max(hi, values[-1] + 2.0 * shift * (ctx.r_w - 1.0))
     e = np.exp(2j * np.pi * (np.arange(RING_NODES) + 0.5) / RING_NODES)
     out = []
     for scale in scales:

@@ -7,12 +7,17 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import brentq, least_squares
 
-from .errors import ConvergenceError, UnsupportedConfigError
+from .errors import ConvergenceError, NumericError, UnsupportedConfigError
 from .lss_clt import shape_to_sigma_eigs  # noqa: F401  (re-exported)
 from .mp_law import DiscreteMeasure, _moments_closed, _population_moments
 from .sign_geometry import SampleBatch, sscm
+
+TYLER_TOL = 1e-11  # relative change at which Tyler's sweeps stop
+TYLER_MAX_ITER = 500
+MAX_ATOMS = 3  # select_num_atoms tries 1..MAX_ATOMS atoms
+ATOM_PENALTY = 0.01  # added to its score per atom beyond the first
 
 
 class EstimatorKind(Enum):
@@ -42,7 +47,7 @@ def psi_normalize(C):
     return C.shape[0] * C / t
 
 
-def tyler_m_estimator(X, tol=1e-11, max_iter=500):
+def tyler_m_estimator(X):
     """Tyler's M-estimator of scatter, trace-normalized each sweep; p < n only."""
     if isinstance(X, SampleBatch):
         X = X.data
@@ -52,7 +57,7 @@ def tyler_m_estimator(X, tol=1e-11, max_iter=500):
         raise UnsupportedConfigError("Tyler's M-estimator requires p < n")
     M = np.eye(p)
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(TYLER_MAX_ITER):
         iterations += 1
         sol = np.linalg.solve(M, X.T)  # p x n
         quad = np.einsum("ij,ji->i", X, sol)
@@ -62,7 +67,7 @@ def tyler_m_estimator(X, tol=1e-11, max_iter=500):
         M_new = psi_normalize(0.5 * (M_new + M_new.T))
         delta = np.linalg.norm(M_new - M) / np.linalg.norm(M)
         M = M_new
-        if delta < tol:
+        if delta < TYLER_TOL:
             return M, iterations
     raise ConvergenceError("Tyler fixed point did not converge", last_iterate=M, residual=delta)
 
@@ -174,26 +179,26 @@ def moment_method_psd(sample_eigs, c_n, num_atoms, return_objective=False):
     return H
 
 
-def select_num_atoms(sample_eigs, c_n, max_atoms=3, penalty=0.01):
+def select_num_atoms(sample_eigs, c_n):
     """Pick the atom count with the best penalized moment mismatch.
 
     Each candidate is fit to its own first 2m moments, but all candidates
-    are scored on a common basis (the first 2*max_atoms relative moment
+    are scored on a common basis (the first 2*MAX_ATOMS relative moment
     mismatches) so that low-order fits pay for what they miss higher up.
     """
     eigs = np.asarray(sample_eigs, dtype=float)
-    k = 2 * max_atoms
+    k = 2 * MAX_ATOMS
     beta_hat = np.array([np.mean(eigs**j) for j in range(1, k + 1)])
     scale = np.maximum(np.abs(beta_hat), 1e-3)
     best = None
-    for m in range(1, max_atoms + 1):
+    for m in range(1, MAX_ATOMS + 1):
         H, _ = moment_method_psd(eigs, c_n, m, return_objective=True)
         model = np.array(_moments_closed(c_n, H.values, H.weights)[:k])
-        score = float(np.sum(((model - beta_hat) / scale) ** 2)) + penalty * (m - 1)
+        score = float(np.sum(((model - beta_hat) / scale) ** 2)) + ATOM_PENALTY * (m - 1)
         if best is None or score < best[0]:
             best = (score, H)
-        # a larger candidate pays at least penalty * m; stop if it cannot win
-        if best[0] <= penalty * m:
+        # a larger candidate pays at least ATOM_PENALTY * m; stop if it cannot win
+        if best[0] <= ATOM_PENALTY * m:
             break
     return best[1]
 
@@ -211,28 +216,35 @@ def expand_spectrum(H, p):
     return np.sort(np.repeat(vals, counts))
 
 
-def sigma_to_shape_eigs(sigma_eigs, tau, p=None, tol=1e-12, max_iter=500):
-    """Invert the diagonal eigenvalue correspondence by damped fixed point.
+def sigma_to_shape_eigs(sigma_eigs, tau):
+    """Invert shape_to_sigma_eigs in closed form, then rescale to sum p.
 
-    Solves t_i = sigma_i + (tau-1)/p (t_i^2 - mean(t^2) t_i) starting from
-    t = sigma, then rescales the result to sum p.
+    Given alpha2 = mean(t^2), t_i is the small root of k t^2 - b t + sigma_i,
+    2 sigma_i / (b + sqrt(b^2 - 4 k sigma_i)), k = (tau-1)/p, b = 1 + k alpha2.
+    alpha2 is the one root of the decreasing mean(t(alpha2)^2) - alpha2 on
+    the alpha2 >= 0 where every t_i is real; NumericError when there is none.
     """
     sig = np.asarray(sigma_eigs, dtype=float)
-    if p is None:
-        p = sig.size
-    t = sig.copy()
-    lam = 0.5
-    for _ in range(max_iter):
-        a2 = np.mean(t**2)
-        t_new = (1 - lam) * t + lam * (sig + (tau - 1.0) / p * (t**2 - a2 * t))
-        delta = np.max(np.abs(t_new - t))
-        t = t_new
-        if delta < tol:
-            break
-    else:
-        raise ConvergenceError("eigenvalue correspondence inversion diverged",
-                               last_iterate=t, residual=delta)
-    t = np.maximum(t, 0.0)
+    p = sig.size
+    if tau < 1.0:
+        raise ValueError("tau = E z^4 must be >= 1")
+    k = (tau - 1.0) / p
+
+    def shape(alpha2):
+        b = 1.0 + k * alpha2
+        return 2.0 * sig / (b + np.sqrt(np.maximum(b * b - 4.0 * k * sig, 0.0)))
+
+    def excess(alpha2):
+        return float(np.mean(shape(alpha2) ** 2)) - alpha2
+
+    # below lo the discriminant of the largest sigma is negative
+    top = k * float(sig.max())
+    lo = (2.0 * np.sqrt(top) - 1.0) / k if top > 0.25 else 0.0
+    hi = lo + excess(lo)  # t decreases in alpha2, so the excess at hi is <= 0
+    if hi < lo:
+        raise NumericError("sign-covariance eigenvalues have no shape preimage")
+    alpha2 = brentq(excess, lo, hi, xtol=1e-15) if hi > lo else lo
+    t = np.maximum(shape(alpha2), 0.0)
     return t * (p / t.sum())
 
 
@@ -259,8 +271,7 @@ def _corrected_spectrum(eigs_scaled, c_n, p, num_atoms=None):
     return expand_spectrum(H, p)
 
 
-def estimate_shape(X, kind, num_atoms=None, tau=3.0, reference=None,
-                   tyler_tol=1e-11, tyler_max_iter=500):
+def estimate_shape(X, kind, num_atoms=None, tau=3.0, reference=None):
     """One of the six shape estimators; data are assumed centered (known mean).
 
     reference, when given, is the true shape matrix used for the Frobenius
@@ -290,13 +301,13 @@ def estimate_shape(X, kind, num_atoms=None, tau=3.0, reference=None,
         B = sscm(X, center=np.zeros(p)).matrix
         eigs, U = np.linalg.eigh(B)
         sigma_eigs = _corrected_spectrum(eigs, c_n, p, num_atoms)
-        lam = np.sort(sigma_to_shape_eigs(sigma_eigs, tau, p))
+        lam = np.sort(sigma_to_shape_eigs(sigma_eigs, tau))
         T_hat = psi_normalize((U * lam) @ U.T)
     elif kind is EstimatorKind.REGULARIZED_TYLER:
-        M, iterations = tyler_m_estimator(X, tol=tyler_tol, max_iter=tyler_max_iter)
+        M, iterations = tyler_m_estimator(X)
         T_hat = psi_normalize(M)
     elif kind is EstimatorKind.SPECTRUM_CORRECTED_TYLER:
-        M, iterations = tyler_m_estimator(X, tol=tyler_tol, max_iter=tyler_max_iter)
+        M, iterations = tyler_m_estimator(X)
         eigs, U = np.linalg.eigh(psi_normalize(M))
         lam = _corrected_spectrum(eigs, c_n, p, num_atoms)
         T_hat = psi_normalize((U * lam) @ U.T)

@@ -38,8 +38,8 @@ class SampleBatch:
         return self.data.shape[1]
 
     @classmethod
-    def from_csv(cls, path, header=False):
-        data = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
+    def from_csv(cls, path):
+        data = np.loadtxt(path, delimiter=",", ndmin=2)
         return cls(data)
 
     def to_csv(self, path):
@@ -120,13 +120,13 @@ def _newton_step(signs, d, r):
     return (r + V.T @ np.linalg.solve(a * np.eye(n) - signs @ V.T, signs @ r)) / a
 
 
-def _spatial_median(X, tol, max_iter):
+def _spatial_median(X):
     """spatial_median of a float array, with the evaluation at the median."""
     if np.allclose(X, X[0]):
         raise ValueError("observations must not be all identical")
     cur = _evaluate(X, np.median(X, axis=0))
     obj, newton_steps = cur.obj, 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, DEFAULT_MEDIAN_MAX_ITER + 1):
         hit = cur.d < 1e-12
         n_hit = int(hit.sum())
         weights = 1.0 / np.where(hit, np.inf, cur.d)
@@ -154,27 +154,28 @@ def _spatial_median(X, tol, max_iter):
         if cand.obj <= obj * (1.0 + 1e-14):
             cur, obj = cand, min(obj, cand.obj)
             newton_steps += cand is newton
-        if cur.residual <= tol:
+        if cur.residual <= DEFAULT_MEDIAN_TOL:
             return SpatialMedianResult(cur.mu, iterations, cur.residual, newton_steps), cur
     raise ConvergenceError("spatial median did not reach tolerance",
                            last_iterate=cur.mu, residual=cur.residual)
 
 
-def spatial_median(X, tol=DEFAULT_MEDIAN_TOL, max_iter=DEFAULT_MEDIAN_MAX_ITER):
+def spatial_median(X):
     """Sample spatial median: the point where centered spatial signs sum to zero.
 
     Modified Weiszfeld iteration with the Vardi-Zhang correction when an
     iterate coincides with a data point, followed by damped Newton polishing
-    once the basin is reached.  The objective sum ||x_j - mu|| never
-    increases along the iteration.  Each point is evaluated once, in one
-    pass over the data; the Newton step is solved in min(n, p) dimensions.
+    once the basin is reached, to ||mean sign|| <= DEFAULT_MEDIAN_TOL.  The
+    objective sum ||x_j - mu|| never increases along the iteration.  Each
+    point is evaluated once, in one pass over the data; the Newton step is
+    solved in min(n, p) dimensions.
     """
     if isinstance(X, SampleBatch):
         X = X.data
-    return _spatial_median(np.asarray(X, dtype=float), tol, max_iter)[0]
+    return _spatial_median(np.asarray(X, dtype=float))[0]
 
 
-def sscm(X, center="estimate", tol=DEFAULT_MEDIAN_TOL, max_iter=DEFAULT_MEDIAN_MAX_ITER):
+def sscm(X, center="estimate"):
     """Sample SSCM B = (p/n) sum s(x_j - center) s(x_j - center)'.
 
     center: "estimate" fits the spatial median, reusing its signs; a vector is a known mean.
@@ -187,7 +188,7 @@ def sscm(X, center="estimate", tol=DEFAULT_MEDIAN_TOL, max_iter=DEFAULT_MEDIAN_M
     if isinstance(center, str):
         if center != "estimate":
             raise ValueError("center must be 'estimate' or a vector")
-        med_result, point = _spatial_median(X, tol, max_iter)
+        med_result, point = _spatial_median(X)
         centered_by = "SampleSpatialMedian"
     else:
         point = _evaluate(X, np.asarray(center, dtype=float))

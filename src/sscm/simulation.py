@@ -65,10 +65,8 @@ class ModelSpec:
             raise ValueError("epsilon must lie in [0, 1)")
         if self.epsilon > 0.0 and self.id not in ("M4", "M5"):
             raise ValueError("epsilon applies to models M4 and M5 only")
-        if self.id in ("M3", "M5") and self.p % 2:
+        if self.id in ("M3", "M4", "M5") and self.p % 2:
             raise ValueError(f"model {self.id} requires even p")
-        if self.id == "M4" and self.p % 2:
-            raise ValueError("model M4 requires even p")
 
     def to_dict(self):
         return dataclasses.asdict(self)
@@ -156,25 +154,38 @@ def generate_sample(spec, replicate=0):
     return SampleBatch(X)
 
 
-def model_context(spec, p=None, n=None):
-    """CLT shape context matching the model's (T, tau, r_w) at size (p, n)."""
-    p = spec.p if p is None else p
-    n = spec.n if n is None else n
+def model_context(spec):
+    """CLT shape context matching the model's (T, tau, r_w) at its size (p, n)."""
     if spec.id == "M1":
-        return ShapeContext.isotropic(p, n, tau=9.0, r_w=1.0)
+        return ShapeContext.isotropic(spec.p, spec.n, tau=9.0, r_w=1.0)
     if spec.id == "M2":
-        return ShapeContext.from_matrix(model2_root(spec.seed, p), n, tau=3.0, r_w=13.0 / 9.0)
+        return ShapeContext.from_matrix(model2_root(spec.seed, spec.p), spec.n, tau=3.0, r_w=13.0 / 9.0)
     if spec.id == "M3":
         return ShapeContext.from_diagonal_shape(
-            _two_block_diag(p, 0.5, 1.5), n, tau=4.2, r_w=1.2
+            _two_block_diag(spec.p, 0.5, 1.5), spec.n, tau=4.2, r_w=1.2
         )
     raise UnsupportedConfigError(f"no CLT context for model {spec.id}")
 
 
-def _manifest(spec_info, cfg, extra=None):
+# (header, row format) of the CSV output of each experiment
+QQ_CSV = ("replicate,beta2_hat,beta3_hat,z2_normalized,z3_normalized", "%d,%.17g,%.17g,%.17g,%.17g")
+BENCHMARK_CSV = ("model,epsilon,p,estimator,mean_frobenius_distance,failures", "%s,%.17g,%d,%d,%.17g,%d")
+
+
+def write_csv(fh, layout, rows):
+    """Write an experiment's rows to an open text stream in its CSV layout."""
+    header, row = layout
+    fh.write(header + "\n")
+    for values in rows:
+        fh.write(row % values + "\n")
+
+
+def _save(cfg, layout, rows, spec_info, extra):
     import scipy
 
-    info = {
+    with open(cfg.output_path, "w") as fh:
+        write_csv(fh, layout, rows)
+    manifest = {
         "spec": spec_info,
         "config": {"replications": cfg.replications, "workers": cfg.workers},
         "versions": {
@@ -182,14 +193,9 @@ def _manifest(spec_info, cfg, extra=None):
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
+        **extra,
     }
-    if extra:
-        info.update(extra)
-    return info
-
-
-def _write_manifest(path, manifest):
-    with open(str(path) + ".manifest.json", "w") as fh:
+    with open(str(cfg.output_path) + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
 
@@ -238,14 +244,7 @@ def run_qq_experiment(spec, cfg, tau=None):
         rows.append((r, b2, b3, z2, z3))
 
     if cfg.output_path is not None:
-        with open(cfg.output_path, "w") as fh:
-            fh.write("replicate,beta2_hat,beta3_hat,z2_normalized,z3_normalized\n")
-            for r, b2, b3, z2, z3 in rows:
-                fh.write("%d,%.17g,%.17g,%.17g,%.17g\n" % (r, b2, b3, z2, z3))
-        _write_manifest(
-            cfg.output_path,
-            _manifest(spec.to_dict(), cfg, {"experiment": "qq", "tau_override": tau}),
-        )
+        _save(cfg, QQ_CSV, rows, spec.to_dict(), {"experiment": "qq", "tau_override": tau})
     return rows
 
 
@@ -296,22 +295,12 @@ def run_shape_benchmark(model_ids, epsilons, cfg, p_grid=P_GRID_DEFAULT, n=100, 
     rows = [row for cell in per_cell for row in cell]
 
     if cfg.output_path is not None:
-        with open(cfg.output_path, "w") as fh:
-            fh.write("model,epsilon,p,estimator,mean_frobenius_distance,failures\n")
-            for mid, eps, p, k, mean, nf in rows:
-                fh.write("%s,%.17g,%d,%d,%.17g,%d\n" % (mid, eps, p, k, mean, nf))
-        _write_manifest(
-            cfg.output_path,
-            _manifest(
-                {
-                    "models": list(model_ids),
-                    "epsilons": list(epsilons),
-                    "p_grid": list(p_grid),
-                    "n": n,
-                    "seed": seed,
-                },
-                cfg,
-                {"experiment": "shape-benchmark"},
-            ),
-        )
+        spec_info = {
+            "models": list(model_ids),
+            "epsilons": list(epsilons),
+            "p_grid": list(p_grid),
+            "n": n,
+            "seed": seed,
+        }
+        _save(cfg, BENCHMARK_CSV, rows, spec_info, {"experiment": "shape-benchmark"})
     return rows

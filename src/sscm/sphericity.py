@@ -6,9 +6,10 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import NumericError, UnsupportedConfigError
+from .lss_clt import ShapeContext, beta_centering, beta_moments_normal
 from .sign_geometry import SscmMatrix
 
 
@@ -47,22 +48,26 @@ def _unwrap(B):
 def frobenius_sphericity_test(B, n, r_w, r_w_source="supplied"):
     """Squared-Frobenius sphericity statistic, standard normal under the null.
 
-    Rejects two-sided: the centering can be undershot in finite samples.
+    It is z_2 of the isotropic trace-power CLT, (tr(B^2) - p beta_2 - mu_2) /
+    sqrt(sigma_22), and kappa is 1 + mu_2 / c_n.  Rejects two-sided: the
+    centering can be undershot in finite samples.
     """
     M = _unwrap(B)
     p = M.shape[0]
-    c_n = p / n
-    kappa1 = c_n * (r_w**2 - 2.0 * r_w + 2.0)
+    ctx = ShapeContext.isotropic(p, n, r_w=r_w)
+    beta2, _ = beta_centering(ctx)
+    approx = beta_moments_normal(ctx)
+    mu2 = approx.mean[0]
     raw = float(np.sum(M * M))  # tr(B^2)
-    stat = (raw - p * (1.0 + c_n) - c_n * (kappa1 - 1.0)) / (2.0 * c_n)
-    p_value = 2.0 * (1.0 - norm.cdf(abs(stat)))
+    stat = (raw - p * beta2 - mu2) / np.sqrt(approx.covariance[0, 0])
+    p_value = 2.0 * (1.0 - ndtr(abs(stat)))
     return TestReport(
         test="frobenius",
         statistic=float(stat),
         p_value=float(p_value),
         raw=raw,
-        kappa=float(kappa1),
-        c_n=c_n,
+        kappa=float(1.0 + mu2 / ctx.c_n),
+        c_n=ctx.c_n,
         r_w_used=float(r_w),
         r_w_source=r_w_source,
     )
@@ -98,7 +103,7 @@ def kl_sphericity_test(B, n, r_w, r_w_source="supplied"):
     )
     den = np.sqrt(-2.0 * np.log(1.0 - c_n) - 2.0 * c_n)
     stat = num / den
-    p_value = 1.0 - norm.cdf(stat)
+    p_value = 1.0 - ndtr(stat)
     return TestReport(
         test="kl",
         statistic=float(stat),

@@ -274,8 +274,8 @@ def test_a7_property_suite():
     t = rng.uniform(0.3, 2.0, size=400)
     t *= 400 / t.sum()
     back = sigma_to_shape_eigs(shape_to_sigma_eigs(t, 4.2), 4.2)
-    checks["sigma/shape round trip 1e-8"] = (
-        np.max(np.abs(np.sort(back) - np.sort(t))) < 1e-8
+    checks["sigma/shape round trip 1e-12"] = (
+        np.max(np.abs(np.sort(back) - np.sort(t))) < 1e-12
     )
 
     ok = all(checks.values())

@@ -183,6 +183,25 @@ class TestSimulate:
                 "--p", "30", "--n", "60", "--output", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_stdout_manifest_records_env_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("SSCM_SEED", "7")
+        code, _, err = run_cli(capsys, "simulate", "--model", "M1", "--reps", "2",
+                               "--p", "20", "--n", "40")
+        assert code == 0
+        assert json.loads(err)["manifest"]["config"]["seed"] == 7
+
+    @pytest.mark.parametrize("argv", [
+        ("--model", "M1", "--p", "20", "--n", "40"),
+        ("--model", "M4", "--epsilon", "0", "--p-grid", "20"),
+    ], ids=["qq", "benchmark"])
+    def test_stdout_matches_output_file(self, capsys, tmp_path, argv):
+        common = ("simulate", "--reps", "1", "--seed", "3") + argv
+        code, out, _ = run_cli(capsys, *common)
+        assert code == 0
+        path = tmp_path / "s.csv"
+        assert run_cli(capsys, *common, "--output", str(path))[0] == 0
+        assert out == path.read_text()
+
     def test_stdout_csv(self, capsys):
         code, out, err = run_cli(
             capsys, "simulate", "--model", "M1", "--reps", "2",

@@ -289,6 +289,16 @@ class TestContourIntegrals:
             rtol=1e-10,
         )
 
+    @pytest.mark.parametrize("c, r_w", [(1.0, 5.0), (0.1, 10.0)])
+    def test_large_radial_ratio_matches_closed_forms(self, c, r_w):
+        # the mean kernel's pole at the y* > 1 with c / (y* - 1) = 1/(r_w - 1)
+        # lies beyond the ring's plain right crossing
+        ctx = ShapeContext.isotropic(100, 100 / c, tau=3.0, r_w=r_w)
+        approx = lss_normal_approx(ctx, [lambda x: x**2, lambda x: x**3])
+        closed = beta_moments_normal(ctx)
+        np.testing.assert_allclose(approx.mean, closed.mean, rtol=1e-9)
+        np.testing.assert_allclose(approx.covariance, closed.covariance, rtol=1e-9)
+
     def test_large_entries_are_real(self):
         # covariance entries up to 1.2e9, whose imaginary rounding (about 2e-4) exceeds 1e-6
         ctx = two_level(0.1, 1.9, 200, 20)

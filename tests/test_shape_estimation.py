@@ -1,12 +1,14 @@
 """Tests for the six shape estimators and their building blocks."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
-from sscm.errors import ConvergenceError, UnsupportedConfigError
+from sscm.errors import ConvergenceError, NumericError, UnsupportedConfigError
 from sscm.mp_law import DiscreteMeasure, _moments_closed, _population_moments
 from sscm.shape_estimation import (
     EstimatorKind,
@@ -232,7 +234,7 @@ class TestSpectrumPlumbing:
         t = np.concatenate([np.full(200, 0.5), np.full(200, 1.5)])
         sig = shape_to_sigma_eigs(t, 4.2)
         back = sigma_to_shape_eigs(sig, 4.2)
-        np.testing.assert_allclose(np.sort(back), np.sort(t), atol=1e-8)
+        np.testing.assert_allclose(np.sort(back), np.sort(t), atol=1e-12)
 
     def test_round_trip_generic(self):
         rng = np.random.default_rng(8)
@@ -240,7 +242,18 @@ class TestSpectrumPlumbing:
         t *= 400 / t.sum()
         sig = shape_to_sigma_eigs(t, 5.0)
         back = sigma_to_shape_eigs(sig, 5.0)
-        np.testing.assert_allclose(np.sort(back), np.sort(t), atol=1e-8)
+        np.testing.assert_allclose(np.sort(back), np.sort(t), atol=1e-12)
+
+    @pytest.mark.parametrize("top", [8.2, 8.5])
+    def test_no_preimage_raises(self, top):
+        # every alpha2 that keeps the roots real gives mean(t^2) < alpha2; at
+        # top = 8.5 the largest discriminant rounds below 0 at the lowest alpha2
+        sig = np.full(10, 0.2)
+        sig[0] = top
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="no shape preimage"):
+                sigma_to_shape_eigs(sig, 9.0)
 
 
 @pytest.fixture(scope="module")

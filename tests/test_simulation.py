@@ -28,6 +28,8 @@ class TestModelSpec:
             ModelSpec("M9")
         with pytest.raises(ValueError):
             ModelSpec("M3", p=41, n=100)  # two-block shape needs even p
+        with pytest.raises(ValueError, match="model M4 requires even p"):
+            ModelSpec("M4", p=41)
         with pytest.raises(ValueError):
             ModelSpec("M1", epsilon=0.1)
         with pytest.raises(ValueError):

@@ -27,6 +27,21 @@ class TestFrobenius:
         assert report.statistic == pytest.approx(expected)
         assert report.kappa == pytest.approx(kappa1)
 
+    def test_statistic_arithmetic_with_radial_weights(self):
+        # kappa_1 = c (r_w^2 - 2 r_w + 2), the centering and scale written out
+        p, n, r_w = 6, 8, 13.0 / 9.0
+        B = np.diag([0.5, 0.5, 1.0, 1.0, 1.5, 1.5])
+        c_n = p / n
+        kappa1 = c_n * (r_w**2 - 2 * r_w + 2)
+        expected = (3.5 * 2 - p * (1 + c_n) - c_n * (kappa1 - 1)) / (2 * c_n)
+        report = frobenius_sphericity_test(B, n, r_w=r_w)
+        assert report.statistic == pytest.approx(expected, rel=1e-14)
+        assert report.kappa == pytest.approx(kappa1, rel=1e-14)
+
+    def test_rejects_radial_ratio_below_one(self):
+        with pytest.raises(ValueError, match="r_w"):
+            frobenius_sphericity_test(np.eye(4), 8, r_w=0.9)
+
     def test_null_yields_moderate_statistic(self):
         report = frobenius_sphericity_test(null_sscm(100, 50, 0), 50, r_w=1.0)
         assert abs(report.statistic) < 4.0
