@@ -258,7 +258,7 @@ def build_parser():
     p.add_argument("--seed", type=int, help="defaults to SSCM_SEED, then 0")
     p.add_argument("--p", type=int)
     p.add_argument("--n", type=int)
-    p.add_argument("--tau", type=float, help="override the fourth moment in the normalization")
+    p.add_argument("--tau", type=float, help="QQ: normalize at this E z^4 instead of the model's")
     p.add_argument("--epsilon", default="0,0.01", help="contamination grid for M4/M5")
     p.add_argument("--p-grid", dest="p_grid", default="2,40,80,120,160,200")
     p.add_argument("--workers", type=int, default=1)

@@ -5,9 +5,9 @@ limiting spectrum.  They are taken in y = -1/mu, where the inverse map
 z = x(y) of the MP law is explicit, so no node needs the Stieltjes solver
 (Bai and Silverstein 2004), by the trapezoid rule on circles, which
 converges geometrically (Trefethen and Weideman 2014).  The population side
-is described by a ShapeContext: aspect ratio, population spectral
-distribution, fourth moment of the coordinates, the radial dispersion ratio,
-and the mixing matrix.
+is described by a ShapeContext: the mixing matrix, the sample size, the
+fourth moment of the coordinates and the radial dispersion ratio, from which
+it derives the population spectral distribution and the trace summaries.
 """
 
 from __future__ import annotations
@@ -27,30 +27,70 @@ from .mp_law import DiscreteMeasure, SpectralModel, _dx, _outer_critical_roots, 
 class ShapeContext:
     """Population-side inputs of the CLT for a given (p, n) design.
 
-    A and sigma may be dense p x p arrays or 1-d arrays of diagonal values.
-    H_p is the spectral distribution of sigma; zeta_p and trace_sigma2_over_p
-    are the Hadamard-trace and squared-trace summaries appearing in the
-    kernels.
+    The fields are the four inputs: the mixing matrix A, dense p x p or the
+    1-d array of its diagonal, with T = A A' of trace p; the sample size n;
+    tau = E z^4 of the coordinates; and the radial dispersion ratio r_w >= 1.
+    Everything else follows from them: the population sign covariance sigma,
+    the second-order expansion of T in tau (1-d when A is); H_p, the
+    spectral distribution of sigma; c_n = p / n; and the squared-trace and
+    Hadamard-trace summaries trace_sigma2_over_p = tr(sigma^2) / p and
+    zeta_p = tr(T^2) / p of the kernels.  sigma and H_p are derived when the
+    context is built, so dataclasses.replace(ctx, tau=...) gives them at the
+    new tau.  Raises ValueError unless A is finite, tr(A A') = p and r_w >= 1.
     """
 
-    c_n: float
-    H_p: DiscreteMeasure
+    A: np.ndarray
+    n: int
     tau: float
     r_w: float
-    A: np.ndarray
-    sigma: np.ndarray
-    trace_sigma2_over_p: float
-    zeta_p: float
 
     def __post_init__(self):
+        A = np.asarray(self.A, dtype=float)
+        p = A.shape[0]
+        if not np.isfinite(A).all():
+            raise ValueError("mixing matrix A must be finite")
+        squares = A * A
+        if abs(squares.sum() - p) > 1e-8 * p:
+            raise ValueError("shape matrix A A' must have trace p")
         if self.r_w < 1.0 - 1e-12:
             raise ValueError("r_w must be >= 1")
-        if abs(self.H_p.moment(1) - 1.0) > 1e-8:
-            raise ValueError("population spectrum must have mean 1 (trace normalization)")
+        if A.ndim == 1:
+            sigma = eigs = shape_to_sigma_eigs(squares, self.tau)
+            merge_tol = 1e-10
+        else:
+            T = A @ A.T
+            T2 = T @ T
+            d = squares.sum(axis=0)  # diag(A'A)
+            sigma = (
+                T
+                - (self.tau - 3.0) / p * ((A * d) @ A.T)
+                - 2.0 / p * T2
+                + ((self.tau - 3.0) / p**2 * np.sum(d**2) + 2.0 / p**2 * np.trace(T2)) * T
+            )
+            sigma = 0.5 * (sigma + sigma.T)
+            eigs = np.linalg.eigvalsh(sigma)
+            merge_tol = 1e-9
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "H_p", DiscreteMeasure.from_eigenvalues(eigs, merge_tol=merge_tol))
+
+    @property
+    def c_n(self):
+        return self.A.shape[0] / self.n
 
     @property
     def diagonal(self):
-        return np.ndim(self.A) == 1
+        return self.A.ndim == 1
+
+    @cached_property
+    def trace_sigma2_over_p(self):
+        return float(np.sum(self.sigma**2) / self.A.shape[0])
+
+    @cached_property
+    def zeta_p(self):
+        """tr(T^2) / p, taken as |A'A|^2 / p in the Frobenius norm."""
+        AtA = self.A**2 if self.diagonal else self.A.T @ self.A
+        return float(np.sum(AtA * AtA) / self.A.shape[0])
 
     @property
     def model(self):
@@ -67,73 +107,18 @@ class ShapeContext:
 
     @staticmethod
     def isotropic(p, n, tau=3.0, r_w=1.0):
-        """Shape matrix identity: H_p = delta_1, Hadamard terms trivial."""
-        a = np.ones(p)
-        return ShapeContext(
-            c_n=p / n,
-            H_p=DiscreteMeasure.point_mass(1.0),
-            tau=tau,
-            r_w=r_w,
-            A=a,
-            sigma=a,
-            trace_sigma2_over_p=1.0,
-            zeta_p=1.0,
-        )
+        """Identity shape matrix, so that sigma = I and H_p = delta_1."""
+        return ShapeContext(np.ones(p), n, tau, r_w)
 
     @staticmethod
     def from_diagonal_shape(t_diag, n, tau=3.0, r_w=1.0):
-        """Context for a diagonal shape matrix T = diag(t_diag), trace p.
-
-        The population sign covariance is the second-order expansion of T
-        (diagonal specialization), whose O(1/p) difference from T matters at
-        the CLT scale.
-        """
-        t = np.asarray(t_diag, dtype=float)
-        p = t.size
-        if abs(t.sum() - p) > 1e-8 * p:
-            raise ValueError("diagonal shape must have trace p")
-        sig = shape_to_sigma_eigs(t, tau)
-        H_p = DiscreteMeasure.from_eigenvalues(sig)
-        return ShapeContext(
-            c_n=p / n,
-            H_p=H_p,
-            tau=tau,
-            r_w=r_w,
-            A=np.sqrt(t),
-            sigma=sig,
-            trace_sigma2_over_p=float(np.mean(sig**2)),
-            zeta_p=float(np.mean(t**2)),
-        )
+        """Diagonal shape matrix T = diag(t_diag) of trace p; A = sqrt(t_diag), kept 1-d."""
+        return ShapeContext(np.sqrt(t_diag), n, tau, r_w)
 
     @staticmethod
     def from_matrix(A, n, tau=3.0, r_w=1.0):
-        """Context for a general mixing matrix A with T = A A' of trace p."""
-        A = np.asarray(A, dtype=float)
-        p = A.shape[0]
-        T = A @ A.T
-        if abs(np.trace(T) - p) > 1e-8 * p:
-            raise ValueError("shape matrix A A' must have trace p")
-        At = A.T @ A
-        dT = np.diag(np.diag(At))
-        corr = (
-            -(tau - 3.0) / p * (A @ dT @ A.T)
-            - 2.0 / p * (T @ T)
-            + ((tau - 3.0) / p**2 * np.sum(np.diag(At) ** 2) + 2.0 / p**2 * np.trace(T @ T)) * T
-        )
-        sigma = T + corr
-        sigma = 0.5 * (sigma + sigma.T)
-        eigs = np.linalg.eigvalsh(sigma)
-        H_p = DiscreteMeasure.from_eigenvalues(eigs, merge_tol=1e-9)
-        return ShapeContext(
-            c_n=p / n,
-            H_p=H_p,
-            tau=tau,
-            r_w=r_w,
-            A=A,
-            sigma=sigma,
-            trace_sigma2_over_p=float(np.trace(sigma @ sigma) / p),
-            zeta_p=float(np.sum(At * At) / p),
-        )
+        """General mixing matrix A with T = A A' of trace p."""
+        return ShapeContext(A, n, tau, r_w)
 
 
 def shape_to_sigma_eigs(t_eigs, tau):

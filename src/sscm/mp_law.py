@@ -19,7 +19,6 @@ spectrum, and recovers m = -(1/z) int dH(t) / (1 + t mu).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,10 @@ from .errors import ConvergenceError, NumericError
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """A purely atomic probability measure on [0, inf): sorted (value, weight) pairs."""
+    """A purely atomic probability measure on [0, inf): sorted (value, weight) pairs.
+
+    `values` and `weights` hold the same atoms as read-only arrays.
+    """
 
     atoms: tuple
 
@@ -40,24 +42,20 @@ class DiscreteMeasure:
             raise ValueError("measure needs at least one atom")
         values = np.array([a[0] for a in atoms])
         weights = np.array([a[1] for a in atoms])
-        if not np.all(np.isfinite(values)) or np.any(values < 0):
+        if not np.isfinite(values).all() or values.min() < 0:
             raise ValueError("atom values must be finite and nonnegative")
-        if np.any(np.diff(values) <= 0):
+        if (values[1:] <= values[:-1]).any():
             raise ValueError("atom values must be strictly increasing")
-        if np.any(weights <= 0) or abs(weights.sum() - 1.0) > 1e-12:
+        if weights.min() <= 0 or abs(weights.sum() - 1.0) > 1e-12:
             raise ValueError("weights must be positive and sum to 1")
+        values.flags.writeable = False
+        weights.flags.writeable = False
         object.__setattr__(self, "atoms", atoms)
-
-    @property
-    def values(self):
-        return np.array([a[0] for a in self.atoms])
-
-    @property
-    def weights(self):
-        return np.array([a[1] for a in self.atoms])
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "weights", weights)
 
     def moment(self, k):
-        return float(np.sum(self.weights * self.values**k))
+        return float(self.weights @ self.values**k)
 
     @classmethod
     def point_mass(cls, value):
@@ -65,7 +63,16 @@ class DiscreteMeasure:
 
     @classmethod
     def from_eigenvalues(cls, eigs, weights=None, merge_tol=1e-10):
-        """Collapse a sorted eigenvalue list into atoms, merging near-duplicates."""
+        """Collapse eigenvalues, in any order, into atoms, merging near-duplicates.
+
+        After sorting, an atom starts at each value v whose gap to the
+        previous value exceeds merge_tol * max(1, |v|); it sits at the
+        weighted mean of its values and carries their total weight.  Weights
+        default to equal ones and are normalized to sum 1.  A chain of
+        near-duplicates whose every gap is within the tolerance is therefore
+        one atom, even when it spans more than merge_tol; a merge into the
+        running mean, compared with each next value, would split such a chain.
+        """
         eigs = np.asarray(eigs, dtype=float)
         if weights is None:
             weights = np.full(eigs.size, 1.0 / eigs.size)
@@ -73,29 +80,11 @@ class DiscreteMeasure:
             weights = np.asarray(weights, dtype=float)
         order = np.argsort(eigs)
         eigs, weights = eigs[order], weights[order]
-        vals, wts = [], []
-        for v, w in zip(eigs, weights):
-            if vals and v - vals[-1] <= merge_tol * max(1.0, abs(v)):
-                # merge into the running atom, weight-averaged position
-                total = wts[-1] + w
-                vals[-1] = (vals[-1] * wts[-1] + v * w) / total
-                wts[-1] = total
-            else:
-                vals.append(v)
-                wts.append(w)
-        wts = np.array(wts)
-        wts = wts / wts.sum()
-        return cls(tuple(zip(vals, wts)))
-
-    def to_json(self):
-        return json.dumps([[v, w] for v, w in self.atoms])
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        if isinstance(data, dict):
-            data = data["atoms"]
-        return cls(tuple((v, w) for v, w in data))
+        gap = eigs[1:] - eigs[:-1] > merge_tol * np.maximum(1.0, np.abs(eigs[1:]))
+        starts = np.concatenate([[0], np.flatnonzero(gap) + 1])
+        wts = np.add.reduceat(weights, starts)
+        vals = np.add.reduceat(eigs * weights, starts) / wts
+        return cls(tuple(zip(vals, wts / wts.sum())))
 
 
 @dataclass(frozen=True)

@@ -274,6 +274,12 @@ def _corrected_spectrum(eigs_scaled, c_n, p, num_atoms=None):
 def estimate_shape(X, kind, num_atoms=None, tau=3.0, reference=None):
     """One of the six shape estimators; data are assumed centered (known mean).
 
+    Each is a scatter matrix and a rule for its spectrum.  Scatter: the
+    trace-normalized SCM (T1, T2), the SSCM about the known centre (T3, T4)
+    or trace-normalized Tyler (T5, T6).  Spectrum: kept (T1, T5), or
+    replaced in the scatter's eigenbasis by the MAD of the rotated data (T3)
+    or the moment-method population spectrum (T2, T4, T6), which for T4 is
+    that of sigma and is mapped to the shape by sigma_to_shape_eigs.
     reference, when given, is the true shape matrix used for the Frobenius
     distance in the report.
     """
@@ -282,37 +288,27 @@ def estimate_shape(X, kind, num_atoms=None, tau=3.0, reference=None):
     X = np.asarray(X, dtype=float)
     n, p = X.shape
     kind = EstimatorKind(kind)
-    c_n = p / n
     iterations = 0
 
-    if kind is EstimatorKind.REGULARIZED_SCM:
-        T_hat = psi_normalize((X.T @ X) / n)
-    elif kind is EstimatorKind.SPECTRUM_CORRECTED_SCM:
+    if kind in (EstimatorKind.REGULARIZED_SCM, EstimatorKind.SPECTRUM_CORRECTED_SCM):
         S = psi_normalize((X.T @ X) / n)
+    elif kind in (EstimatorKind.VISURI_SSCM, EstimatorKind.SPECTRUM_CORRECTED_SSCM):
+        S = sscm(X, center=np.zeros(p)).matrix
+    else:
+        M, iterations = tyler_m_estimator(X)
+        S = psi_normalize(M)
+
+    if kind in (EstimatorKind.REGULARIZED_SCM, EstimatorKind.REGULARIZED_TYLER):
+        T_hat = S
+    else:
         eigs, U = np.linalg.eigh(S)
-        lam = _corrected_spectrum(eigs, c_n, p, num_atoms)
+        if kind is EstimatorKind.VISURI_SSCM:
+            lam = mad_spectrum(X, U)
+        else:
+            lam = _corrected_spectrum(eigs, p / n, p, num_atoms)
+            if kind is EstimatorKind.SPECTRUM_CORRECTED_SSCM:
+                lam = np.sort(sigma_to_shape_eigs(lam, tau))
         T_hat = psi_normalize((U * lam) @ U.T)
-    elif kind is EstimatorKind.VISURI_SSCM:
-        B = sscm(X, center=np.zeros(p)).matrix
-        _, U = np.linalg.eigh(B)
-        lam = mad_spectrum(X, U)
-        T_hat = psi_normalize((U * lam) @ U.T)
-    elif kind is EstimatorKind.SPECTRUM_CORRECTED_SSCM:
-        B = sscm(X, center=np.zeros(p)).matrix
-        eigs, U = np.linalg.eigh(B)
-        sigma_eigs = _corrected_spectrum(eigs, c_n, p, num_atoms)
-        lam = np.sort(sigma_to_shape_eigs(sigma_eigs, tau))
-        T_hat = psi_normalize((U * lam) @ U.T)
-    elif kind is EstimatorKind.REGULARIZED_TYLER:
-        M, iterations = tyler_m_estimator(X)
-        T_hat = psi_normalize(M)
-    elif kind is EstimatorKind.SPECTRUM_CORRECTED_TYLER:
-        M, iterations = tyler_m_estimator(X)
-        eigs, U = np.linalg.eigh(psi_normalize(M))
-        lam = _corrected_spectrum(eigs, c_n, p, num_atoms)
-        T_hat = psi_normalize((U * lam) @ U.T)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown estimator kind {kind}")
 
     T_hat = 0.5 * (T_hat + T_hat.T)
     spectrum = np.sort(np.linalg.eigvalsh(T_hat))

@@ -59,7 +59,6 @@ class SscmMatrix:
     """Scaled sample SSCM (p/n) sum of outer products of centered signs."""
 
     matrix: np.ndarray
-    scaled: bool
     centered_by: str  # "SampleSpatialMedian" or "KnownMean"
     degenerate_rows: int = 0
     median_result: SpatialMedianResult | None = None
@@ -201,7 +200,6 @@ def sscm(X, center="estimate"):
     B = 0.5 * (B + B.T)
     return SscmMatrix(
         matrix=B,
-        scaled=True,
         centered_by=centered_by,
         degenerate_rows=degenerate,
         median_result=med_result,

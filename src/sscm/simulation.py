@@ -216,7 +216,8 @@ def run_qq_experiment(spec, cfg, tau=None):
 
     Returns the result rows; when cfg.output_path is set, also writes them
     as CSV together with a JSON manifest.  `tau` overrides the model's
-    fourth moment in the normalization (used to probe its effect).
+    fourth moment in the normalization (used to probe its effect); the
+    population sign covariance and its spectrum follow at that tau.
     """
     if spec.id not in ("M1", "M2", "M3"):
         raise UnsupportedConfigError("QQ experiment covers models M1-M3 only")

@@ -1,5 +1,6 @@
 """Tests for the CLT mean/covariance kernels and the contour integrals."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -122,6 +123,40 @@ class TestShapeContext:
             kq = mean_kernel(ctx_q, z) + cov_kernel(ctx_q, z, z2)
             for a, b in zip(kd, kq):
                 assert abs(a - b) < 1e-8 * max(1.0, abs(b))
+
+    def test_fields_are_the_four_inputs(self):
+        assert [f.name for f in dataclasses.fields(ShapeContext)] == ["A", "n", "tau", "r_w"]
+        assert all(f.default is dataclasses.MISSING for f in dataclasses.fields(ShapeContext))
+
+    def test_replace_rederives_at_new_tau(self):
+        t = np.random.default_rng(5).uniform(0.3, 2.0, 40)
+        t *= t.size / t.sum()
+        moved = dataclasses.replace(ShapeContext.from_diagonal_shape(t, 80, tau=4.2), tau=3.0)
+        fresh = ShapeContext.from_diagonal_shape(t, 80, tau=3.0)
+        np.testing.assert_array_equal(moved.sigma, fresh.sigma)
+        assert moved.H_p == fresh.H_p
+        assert beta_centering(moved) == beta_centering(fresh)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_mixing_matrix_rejected(self, bad):
+        A = np.eye(4)
+        A[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ShapeContext.from_matrix(A, 8)
+
+    def test_negative_shape_entry_rejected(self):
+        # sqrt of a negative entry is NaN, with numpy's invalid-value warning
+        with pytest.warns(RuntimeWarning, match="invalid value"), pytest.raises(ValueError, match="finite"):
+            ShapeContext.from_diagonal_shape([2.0, 1.5, -0.5], 6)
+
+    @pytest.mark.parametrize("build", [
+        lambda: ShapeContext.from_diagonal_shape([1.0, 2.0], 4),
+        lambda: ShapeContext.from_matrix(2.0 * np.eye(3), 6),
+        lambda: ShapeContext.isotropic(3, 6, r_w=0.9),
+    ])
+    def test_trace_and_radial_ratio_checked(self, build):
+        with pytest.raises(ValueError):
+            build()
 
 
 class TestClosedForms:

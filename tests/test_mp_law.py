@@ -1,11 +1,10 @@
 """Oracle and property tests for the limiting spectral law solver."""
 
-import json
 from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
@@ -134,11 +133,44 @@ class TestDiscreteMeasure:
         assert len(H.atoms) == 2
         assert H.atoms[0][1] == pytest.approx(2.0 / 3.0)
 
-    def test_json_round_trip(self):
-        H = TWO_ATOM
-        back = DiscreteMeasure.from_json(H.to_json())
-        assert back == H
-        assert json.loads(H.to_json()) == [[0.5, 0.5], [1.5, 0.5]]
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # 0 or well above the subnormals, where the weighted means keep full precision
+        distinct=st.lists(st.just(0.0) | st.floats(1e-6, 100.0), min_size=1, max_size=6, unique=True),
+        counts=st.lists(st.integers(1, 5), min_size=6, max_size=6),
+        rnd=st.randoms(use_true_random=False),
+    )
+    def test_from_eigenvalues_counts_repeats(self, distinct, counts, rnd):
+        distinct = np.sort(distinct)
+        # keep the distinct values further apart than the merge tolerance
+        assume(np.all(np.diff(distinct) > 1e-6 * np.maximum(1.0, distinct[1:])))
+        counts = np.array(counts[: distinct.size])
+        eigs = list(np.repeat(distinct, counts))
+        rnd.shuffle(eigs)
+        H = DiscreteMeasure.from_eigenvalues(eigs)
+        np.testing.assert_allclose(H.values, distinct, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(H.weights, counts / counts.sum(), rtol=1e-14, atol=0.0)
+        for k in range(1, 7):
+            assert H.moment(k) == pytest.approx(np.mean(np.asarray(eigs) ** k), rel=1e-14, abs=0.0)
+
+    def test_from_eigenvalues_gap_rule(self):
+        # every step of the chain is within merge_tol, its span is not: one atom
+        chain = 1.0 + np.array([0.0, 0.6e-10, 1.2e-10, 1.8e-10])
+        H = DiscreteMeasure.from_eigenvalues(chain[::-1])
+        assert len(H.atoms) == 1
+        assert H.atoms[0] == (pytest.approx(chain.mean(), rel=1e-15), 1.0)
+        # the tolerance scales with max(1, v); a step beyond it starts a new atom
+        H = DiscreteMeasure.from_eigenvalues([4.0, 4.0 + 3e-10, 4.0 + 6e-10, 4.0 + 10.5e-10])
+        assert H.values == pytest.approx([4.0 + 3e-10, 4.0 + 10.5e-10], rel=1e-15)
+        assert H.weights == pytest.approx([0.75, 0.25])
+        # an atom sits at the weighted mean of its values
+        H = DiscreteMeasure.from_eigenvalues([2.0 + 1e-10, 2.0, 5.0], weights=[3.0, 1.0, 4.0])
+        assert H.values == pytest.approx([2.0 + 0.75e-10, 5.0], rel=1e-15)
+        assert H.weights == pytest.approx([0.5, 0.5])
+
+    def test_arrays_are_read_only(self):
+        with pytest.raises(ValueError):
+            TWO_ATOM.values[0] = 2.0
 
 
 class TestSolver:
