@@ -184,6 +184,7 @@ def _cmd_shape_estimate(args):
         "estimator": report.kind.value,
         "spectrum": [float(v) for v in report.spectrum],
         "iterations": report.iterations,
+        "num_atoms": report.num_atoms,
     }
     if args.matrix_output:
         np.savetxt(args.matrix_output, report.T_hat, delimiter=",", fmt="%.17g")

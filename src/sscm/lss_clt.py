@@ -113,7 +113,10 @@ class ShapeContext:
     @staticmethod
     def from_diagonal_shape(t_diag, n, tau=3.0, r_w=1.0):
         """Diagonal shape matrix T = diag(t_diag) of trace p; A = sqrt(t_diag), kept 1-d."""
-        return ShapeContext(np.sqrt(t_diag), n, tau, r_w)
+        t = np.asarray(t_diag, dtype=float)
+        if not np.all(t >= 0):
+            raise ValueError("diagonal shape entries t_diag must be >= 0")
+        return ShapeContext(np.sqrt(t), n, tau, r_w)
 
     @staticmethod
     def from_matrix(A, n, tau=3.0, r_w=1.0):
@@ -181,7 +184,7 @@ class _HadamardOps:
         else:
             lam, Q = np.linalg.eigh(np.asarray(ctx.sigma, dtype=float))
             B = Q.T @ A
-            d = np.einsum("ki,ij,kj->k", B, A.T @ A, B) / p
+            d = np.sum((B @ (A.T @ A)) * B, axis=1) / p
             M = (B @ B.T) ** 2 / p
         _, group = np.unique(np.round(lam, 12), return_inverse=True)
         S = (group == np.arange(group.max() + 1)[:, None]).astype(float)

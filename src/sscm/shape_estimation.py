@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
+from scipy.optimize import brentq
 
 from .errors import ConvergenceError, NumericError, UnsupportedConfigError
 from .lss_clt import shape_to_sigma_eigs  # noqa: F401  (re-exported)
@@ -36,6 +36,7 @@ class EstimatorReport:
     spectrum: np.ndarray
     iterations: int = 0
     frobenius_to: tuple | None = None  # (reference_name, distance)
+    num_atoms: int | None = None  # atoms of the corrected spectrum (T2, T4, T6)
 
 
 def psi_normalize(C):
@@ -72,10 +73,6 @@ def tyler_m_estimator(X):
     raise ConvergenceError("Tyler fixed point did not converge", last_iterate=M, residual=delta)
 
 
-# atom values are capped at e^40 in size inside the fit, so that the order-6 moments stay finite
-_LOG_VALUE_CAP = 40.0
-
-
 def _gauss_rule(alphas, m):
     """The m-atom measure with moments 1, alpha_1..alpha_{2m-1}, or None if it has no valid one.
 
@@ -83,7 +80,8 @@ def _gauss_rule(alphas, m):
     and H1 = (alpha_{i+j+1}), i, j < m, the Jacobi matrix L^-1 H1 L^-T has the
     atoms as eigenvalues and the squared first components of its unit
     eigenvectors as weights, which are therefore positive.  Returns None when
-    H0 is not positive definite or an atom is not positive.
+    H0 is not positive definite or an atom is not positive.  Entries of
+    alphas past alpha_{2m-1} are not read.
     """
     a = np.concatenate([[1.0], alphas])
     idx = np.add.outer(np.arange(m), np.arange(m))
@@ -99,100 +97,52 @@ def _gauss_rule(alphas, m):
     return vals, V[0] ** 2
 
 
-def moment_method_psd(sample_eigs, c_n, num_atoms, return_objective=False):
+def _sample_moments(eigs, k):
+    return np.array([np.mean(eigs**j) for j in range(1, k + 1)])
+
+
+def moment_method_psd(sample_eigs, c_n, num_atoms):
     """Recover a small-atom population spectrum from sample eigenvalue moments.
 
-    Fits num_atoms = m atom values and simplex weights (softmax logits) so
-    that the limiting-law moments beta_1..beta_{2m} of the candidate measure
-    match those of the sample, by Levenberg-Marquardt on the 2m residuals
-    scaled by max(|beta_k|, 1e-3).
-
-    The fit starts from the exact inversion.  The population moments
-    alpha_1..alpha_{2m-1} follow from the sample moments by forward
-    substitution (Bai, Chen and Yao 2010), and their Gauss rule is the m-atom
-    measure that matches beta_1..beta_{2m-1} exactly; one fit from there,
-    in the atom values, ends the search.  Only when that rule does not exist
-    (the Hankel matrix is not positive definite or an atom is <= 0), or its
-    fit ends with an atom <= 0, the fit runs instead, in the logs of the
-    atom values, from the sample quantiles and four (two when m = 1) random
-    perturbations of them, and keeps the best.  Atoms with weight < 0.01 are
-    then dropped.  return_objective also returns the sum of squared scaled
-    residuals of the fit.
+    The moment method of Bai, Chen and Yao (2010).  The population moments
+    alpha_1..alpha_{2m-1} follow from the sample moments beta_1..beta_{2m-1}
+    by forward substitution, and their Gauss rule is the m-atom measure
+    whose limiting-law moments match beta_1..beta_{2m-1} exactly.  When no
+    m-atom rule exists (the Hankel matrix is not positive definite or an
+    atom is <= 0), the rule of the largest m' < m that has one is returned;
+    m' = 1, delta at alpha_1 = beta_1, needs only beta_1 > 0, which is
+    checked.  Atoms with weight < 0.01 are then dropped and the rest
+    renormalized.
     """
     if num_atoms not in (1, 2, 3):
         raise ValueError("num_atoms must be 1, 2 or 3")
-    eigs = np.asarray(sample_eigs, dtype=float)
-    m = num_atoms
-    k = 2 * m
-    beta_hat = np.array([np.mean(eigs**j) for j in range(1, k + 1)])
-    scale = np.maximum(np.abs(beta_hat), 1e-3)
-
-    def unpack(theta, log_values):
-        if log_values:
-            vals = np.exp(np.minimum(theta[:m], _LOG_VALUE_CAP))
-        else:
-            vals = np.clip(theta[:m], -np.exp(_LOG_VALUE_CAP), np.exp(_LOG_VALUE_CAP))
-        logits = np.concatenate([theta[m:], [0.0]])
-        w = np.exp(logits - logits.max())
-        return vals, w / w.sum()
-
-    def resid(theta, log_values):
-        vals, w = unpack(theta, log_values)
-        order = np.argsort(vals)
-        model = np.array(_moments_closed(c_n, vals[order], w[order])[:k])
-        return (model - beta_hat) / scale
-
-    # Starts as (theta_0, atom values as logs, cost that ends the search).  The
-    # exact start works in the values: MINPACK's first trust radius is a
-    # multiple of |theta_0|, and near log 1 = 0 (m = 1 on a trace-normalized
-    # spectrum) the fit would stop at once.  The fallback works in logs, in
-    # which an atom can run to 0.
-    starts = []
-    gauss = _gauss_rule(_population_moments(c_n, beta_hat[: k - 1]), m)
-    if gauss is not None:
-        vals, w = gauss
-        starts.append((np.concatenate([vals, np.log(w[:-1]) - np.log(w[-1])]), False, np.inf))
-    log_qs = np.log(np.maximum(np.quantile(eigs, (np.arange(m) + 0.5) / m), 1e-3))
-    starts.append((np.concatenate([log_qs, np.zeros(m - 1)]), True, 1e-16))
-    rng = np.random.default_rng(12345)
-    for _ in range(4 if m > 1 else 2):
-        x0 = np.concatenate([log_qs + rng.normal(0, 0.4, m), rng.normal(0, 0.7, m - 1)])
-        starts.append((x0, True, 1e-16))
-    best = None
-    for x0, log_values, enough in starts:
-        sol = least_squares(resid, x0, method="lm", xtol=1e-12, ftol=1e-12, args=(log_values,))
-        vals, w = unpack(sol.x, log_values)
-        if np.all(vals > 0) and (best is None or sol.cost < best[0]):
-            best = (sol.cost, vals, w)
-        if best is not None and best[0] < enough:
-            break
-    if best is None:
-        raise ConvergenceError("moment matching failed from every start")
-    cost, vals, w = best
+    beta_hat = _sample_moments(np.asarray(sample_eigs, dtype=float), 2 * num_atoms - 1)
+    if not beta_hat[0] > 0:
+        raise ValueError("sample eigenvalues must have a positive mean")
+    alphas = _population_moments(c_n, beta_hat)
+    vals, w = next(r for m in range(num_atoms, 0, -1) if (r := _gauss_rule(alphas, m)) is not None)
     keep = w >= 0.01
-    if not np.all(keep):
-        vals, w = vals[keep], w[keep] / w[keep].sum()
-    order = np.argsort(vals)
-    H = DiscreteMeasure.from_eigenvalues(vals[order], w[order], merge_tol=1e-8)
-    if return_objective:
-        return H, float(2.0 * cost)
-    return H
+    return DiscreteMeasure.from_eigenvalues(vals[keep], w[keep], merge_tol=1e-8)
 
 
 def select_num_atoms(sample_eigs, c_n):
     """Pick the atom count with the best penalized moment mismatch.
 
-    Each candidate is fit to its own first 2m moments, but all candidates
-    are scored on a common basis (the first 2*MAX_ATOMS relative moment
-    mismatches) so that low-order fits pay for what they miss higher up.
+    Each candidate m is the Gauss rule of its own first 2m - 1 moments, but
+    all candidates are scored on a common basis (the first 2*MAX_ATOMS
+    relative moment mismatches) so that low-order fits pay for what they
+    miss higher up.  A candidate m with no rule of its own is skipped.
     """
     eigs = np.asarray(sample_eigs, dtype=float)
     k = 2 * MAX_ATOMS
-    beta_hat = np.array([np.mean(eigs**j) for j in range(1, k + 1)])
+    beta_hat = _sample_moments(eigs, k)
     scale = np.maximum(np.abs(beta_hat), 1e-3)
+    alphas = _population_moments(c_n, beta_hat[: k - 1])
     best = None
     for m in range(1, MAX_ATOMS + 1):
-        H, _ = moment_method_psd(eigs, c_n, m, return_objective=True)
+        if m > 1 and _gauss_rule(alphas, m) is None:
+            continue  # moment_method_psd would return a smaller candidate's rule
+        H = moment_method_psd(eigs, c_n, m)
         model = np.array(_moments_closed(c_n, H.values, H.weights)[:k])
         score = float(np.sum(((model - beta_hat) / scale) ** 2)) + ATOM_PENALTY * (m - 1)
         if best is None or score < best[0]:
@@ -262,15 +212,6 @@ def mad_spectrum(X, U):
     return np.sort(mad**2)
 
 
-def _corrected_spectrum(eigs_scaled, c_n, p, num_atoms=None):
-    """Moment-method population spectrum, expanded to p ascending values."""
-    if num_atoms is None:
-        H = select_num_atoms(eigs_scaled, c_n)
-    else:
-        H = moment_method_psd(eigs_scaled, c_n, num_atoms)
-    return expand_spectrum(H, p)
-
-
 def estimate_shape(X, kind, num_atoms=None, tau=3.0, reference=None):
     """One of the six shape estimators; data are assumed centered (known mean).
 
@@ -281,7 +222,8 @@ def estimate_shape(X, kind, num_atoms=None, tau=3.0, reference=None):
     or the moment-method population spectrum (T2, T4, T6), which for T4 is
     that of sigma and is mapped to the shape by sigma_to_shape_eigs.
     reference, when given, is the true shape matrix used for the Frobenius
-    distance in the report.
+    distance in the report.  For T2, T4 and T6 the report also gives the
+    atom count of the corrected spectrum.
     """
     if isinstance(X, SampleBatch):
         X = X.data
@@ -289,6 +231,7 @@ def estimate_shape(X, kind, num_atoms=None, tau=3.0, reference=None):
     n, p = X.shape
     kind = EstimatorKind(kind)
     iterations = 0
+    atoms = None
 
     if kind in (EstimatorKind.REGULARIZED_SCM, EstimatorKind.SPECTRUM_CORRECTED_SCM):
         S = psi_normalize((X.T @ X) / n)
@@ -305,7 +248,12 @@ def estimate_shape(X, kind, num_atoms=None, tau=3.0, reference=None):
         if kind is EstimatorKind.VISURI_SSCM:
             lam = mad_spectrum(X, U)
         else:
-            lam = _corrected_spectrum(eigs, p / n, p, num_atoms)
+            if num_atoms is None:
+                H = select_num_atoms(eigs, p / n)
+            else:
+                H = moment_method_psd(eigs, p / n, num_atoms)
+            atoms = len(H.atoms)
+            lam = expand_spectrum(H, p)
             if kind is EstimatorKind.SPECTRUM_CORRECTED_SSCM:
                 lam = np.sort(sigma_to_shape_eigs(lam, tau))
         T_hat = psi_normalize((U * lam) @ U.T)
@@ -322,4 +270,5 @@ def estimate_shape(X, kind, num_atoms=None, tau=3.0, reference=None):
         spectrum=spectrum,
         iterations=iterations,
         frobenius_to=frobenius_to,
+        num_atoms=atoms,
     )

@@ -160,6 +160,20 @@ class TestShapeEstimate:
         assert len(data["spectrum"]) == 20
         T = np.loadtxt(mat, delimiter=",")
         assert np.trace(T) == pytest.approx(20.0)
+        assert data["num_atoms"] is None
+
+    def test_reports_atom_count(self, capsys, tmp_path):
+        X = np.random.default_rng(2).standard_normal((100, 20)) * np.sqrt(np.repeat([0.5, 1.5], 10))
+        path = tmp_path / "x.csv"
+        SampleBatch(X).to_csv(path)
+        counts = []
+        for extra in ((), ("--num-atoms", "1")):
+            code, out, _ = run_cli(capsys, "shape-estimate", "--input", str(path), "--estimator", "4", *extra)
+            assert code == 0
+            data = json.loads(out)
+            counts.append(data["num_atoms"])
+            assert np.unique(np.round(data["spectrum"], 8)).size == data["num_atoms"]
+        assert counts[0] in (2, 3) and counts[1] == 1
 
 
 class TestSimulate:

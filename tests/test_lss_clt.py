@@ -145,8 +145,8 @@ class TestShapeContext:
             ShapeContext.from_matrix(A, 8)
 
     def test_negative_shape_entry_rejected(self):
-        # sqrt of a negative entry is NaN, with numpy's invalid-value warning
-        with pytest.warns(RuntimeWarning, match="invalid value"), pytest.raises(ValueError, match="finite"):
+        # checked before the square root, so no invalid-value warning comes first
+        with pytest.raises(ValueError, match="shape entries t_diag must be >= 0"):
             ShapeContext.from_diagonal_shape([2.0, 1.5, -0.5], 6)
 
     @pytest.mark.parametrize("build", [
@@ -246,6 +246,17 @@ class TestContour:
 
 
 class TestKernels:
+    def test_hadamard_d_matches_rows(self):
+        # d_k = b_k' A'A b_k / p with B = Q'A; a generic dense sigma has distinct eigenvalues
+        ctx = dense_ctx()
+        A, p = ctx.A, ctx.A.shape[0]
+        _, Q = np.linalg.eigh(ctx.sigma)
+        B = Q.T @ A
+        want = np.array([b @ (A.T @ A) @ b for b in B]) / p
+        ops = ctx._hadamard
+        assert ops.d.size == p
+        np.testing.assert_allclose(ops.d, want, rtol=1e-12, atol=0)
+
     def test_cov_kernel_symmetry(self):
         z1, z2 = 1.1 + 0.9j, 2.3 + 0.7j
         s1a, s2a = cov_kernel(M1_CTX, z1, z2)

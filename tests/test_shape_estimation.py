@@ -4,11 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import least_squares
 
-from sscm.errors import ConvergenceError, NumericError, UnsupportedConfigError
+from sscm.errors import NumericError, UnsupportedConfigError
 from sscm.mp_law import DiscreteMeasure, _moments_closed, _population_moments
 from sscm.shape_estimation import (
     EstimatorKind,
@@ -88,38 +87,11 @@ def _sample_moments(eigs, k):
     return np.array([np.mean(eigs**j) for j in range(1, k + 1)])
 
 
-def multistart_objective(eigs, c, m, starts=20):
-    """Least scaled moment mismatch over m-atom measures, from many random starts.
-
-    Atom values enter through their logs and weights through softmax logits,
-    as in the fit; the starts perturb the sample quantiles.
-    """
-    beta = _sample_moments(eigs, 2 * m)
-    scale = np.maximum(np.abs(beta), 1e-3)
-
-    def resid(theta):
-        vals = np.exp(np.minimum(theta[:m], 40.0))
-        logits = np.concatenate([theta[m:], [0.0]])
-        w = np.exp(logits - logits.max())
-        return (np.array(_moments_closed(c, vals, w / w.sum())[: 2 * m]) - beta) / scale
-
-    rng = np.random.default_rng(0)
-    log_qs = np.log(np.quantile(eigs, (np.arange(m) + 0.5) / m))
-    best = np.inf
-    for _ in range(starts):
-        x0 = np.concatenate([log_qs + rng.normal(0, 0.7, m), rng.normal(0, 1.0, m - 1)])
-        sol = least_squares(resid, x0, method="lm", xtol=1e-14, ftol=1e-14, gtol=1e-14)
-        best = min(best, 2.0 * sol.cost)
-    return best
-
-
 @pytest.fixture(scope="module")
 def m4_spectra():
     """Trace-normalized SCM, SSCM and Tyler spectra of one contaminated M4 sample.
 
-    The SCM and SSCM spectra have alpha_1 = 1 + 2e-16, so that a single-atom
-    start at log(alpha_1) would sit near 0 but not at 0, where MINPACK sets
-    the first trust radius differently.
+    The SCM spectrum has no three-atom Gauss rule; the other two have one.
     """
     X = generate_sample(ModelSpec("M4", p=80, n=100, epsilon=0.01, seed=12)).data
     n, p = X.shape
@@ -155,13 +127,32 @@ class TestMomentMethod:
         np.testing.assert_allclose(start[0], values, rtol=1e-9)
         np.testing.assert_allclose(start[1], weights, rtol=0, atol=1e-9)
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(0.1, 5.0), min_size=10, max_size=80),
+        st.floats(0.01, 1.5),
+        st.integers(1, 3),
+    )
+    def test_returned_measure_matches_sample_moments(self, eigs, c, m):
+        eigs = np.array(eigs)
+        beta = _sample_moments(eigs, 2 * m - 1)
+        rule = _gauss_rule(_population_moments(c, beta), m)
+        assume(rule is not None and rule[1].min() >= 0.01)
+        H = moment_method_psd(eigs, c, m)
+        assume(len(H.atoms) == m)  # no two atoms merged
+        np.testing.assert_allclose(_moments_closed(c, H.values, H.weights)[: 2 * m - 1], beta, rtol=1e-10)
+
     @pytest.mark.parametrize("spectrum", ["SCM", "SSCM", "Tyler"])
-    def test_objective_matches_multistart(self, m4_spectra, spectrum, m):
+    def test_falls_back_to_largest_atom_count_with_a_rule(self, m4_spectra, spectrum):
         spectra, c = m4_spectra
         eigs = spectra[spectrum]
-        _, objective = moment_method_psd(eigs, c, m, return_objective=True)
-        assert objective <= multistart_objective(eigs, c, m) + 1e-8
+        alphas = _population_moments(c, _sample_moments(eigs, 5))
+        has_rule = [_gauss_rule(alphas, m) is not None for m in (1, 2, 3)]
+        assert has_rule == [True, True, spectrum != "SCM"]
+        for m in (2, 3):
+            largest = max(j for j in range(1, m + 1) if has_rule[j - 1])
+            assert moment_method_psd(eigs, c, m) == moment_method_psd(eigs, c, largest)
+        assert len(moment_method_psd(eigs, c, 3).atoms) == (2 if spectrum == "SCM" else 3)
 
     def test_no_start_from_a_negative_atom(self):
         # the moments of 0.5 delta_{-0.5} + 0.5 delta_{1.5} have a Gauss rule, with an atom < 0
@@ -173,10 +164,10 @@ class TestMomentMethod:
         eigs = np.repeat([0.5, 1.5], 50)
         c = 1e-9
         assert _gauss_rule(_population_moments(c, _sample_moments(eigs, 5)), 3) is None
-        H, objective = moment_method_psd(eigs, c, 3, return_objective=True)
+        H = moment_method_psd(eigs, c, 3)
+        assert H == moment_method_psd(eigs, c, 2)
         np.testing.assert_allclose(H.values, [0.5, 1.5], atol=1e-6)
         np.testing.assert_allclose(H.weights, [0.5, 0.5], atol=1e-6)
-        assert objective < 1e-12
 
     def test_single_atom_mp_recovery(self):
         rng = np.random.default_rng(6)
@@ -212,6 +203,10 @@ class TestMomentMethod:
     def test_atom_count_validation(self):
         with pytest.raises(ValueError):
             moment_method_psd(np.ones(10), 0.5, 4)
+
+    def test_nonpositive_mean_rejected(self):
+        with pytest.raises(ValueError, match="positive mean"):
+            moment_method_psd(np.zeros(10), 0.5, 1)
 
     def test_model_selection_finds_two(self):
         rng = np.random.default_rng(7)
@@ -272,6 +267,16 @@ class TestEstimateShape:
             rep = estimate_shape(X, kind, reference=T)
             assert np.trace(rep.T_hat) == pytest.approx(40.0, abs=1e-8)
             assert np.min(rep.spectrum) > -1e-10
+
+    def test_report_atom_count(self, gaussian_sample):
+        X, _ = gaussian_sample
+        for kind in (1, 3, 5):
+            assert estimate_shape(X, kind).num_atoms is None
+        for kind in (2, 4, 6):
+            assert estimate_shape(X, kind, num_atoms=1).num_atoms == 1
+            rep = estimate_shape(X, kind)
+            assert rep.num_atoms in (1, 2, 3)
+            assert np.unique(np.round(rep.spectrum, 8)).size == rep.num_atoms
 
     def test_corrected_beats_uncorrected(self):
         p, n = 40, 100
