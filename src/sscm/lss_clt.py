@@ -20,7 +20,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import NumericError, UnsupportedConfigError
-from .mp_law import DiscreteMeasure, SpectralModel, _dx, _outer_critical_roots, _x, solve_stieltjes_grid
+from .mp_law import (
+    DiscreteMeasure, SpectralModel, _dx, _outer_critical_roots, _x, lsd_moments, solve_stieltjes_grid,
+)
 
 
 @dataclass(frozen=True)
@@ -399,9 +401,7 @@ def lss_normal_approx(ctx, fs):
 
 def beta_centering(ctx):
     """Centering terms (beta_2, beta_3) for the trace-power statistics."""
-    a = ctx.alpha(3)
-    c = ctx.c_n
-    return a[1] + c, a[2] + 3.0 * c * a[1] + c**2
+    return tuple(lsd_moments(ctx.model, 3)[1:])
 
 
 def beta_moments_normal(ctx):

@@ -12,9 +12,10 @@ with Im mu > 0 of the inverse map
 
     z = -1/mu + c int t / (1 + t mu) dH(t)
 
-(Silverstein and Bai 1995; Silverstein and Choi 1995).  The solver finds
-that root by Newton's method in mu, continued down from a height above the
-spectrum, and recovers m = -(1/z) int dH(t) / (1 + t mu).
+(Silverstein and Bai 1995; Silverstein and Choi 1995).  In y = -1/mu it
+reads z = x(y) = y (1 + c int t / (y - t) dH(t)), from which the support
+edges, the moments, the CLT contour and the solver all work: Newton finds
+the root with Im y > 0, continued down from a height above the spectrum.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import ConvergenceError, NumericError
+from .errors import ConvergenceError
 
 
 @dataclass(frozen=True)
@@ -108,71 +109,79 @@ class StieltjesPair:
     m_under_prime: complex
 
 
-def _newton(mu, z, c, t, w, steps=60, tol=1e-13):
-    """Newton on the inverse map f(mu) = z + 1/mu - c sum w t / (1 + t mu).
-
-    Where Im z > 0 a step that would take mu out of the upper half plane is
-    halved until it does not.
-    """
-    upper = z.imag > 0
+def _newton(y, z, c, t, w, steps=60, tol=1e-13):
+    """Newton on x(y) = z; a step that would take y below the real axis is halved until it does not."""
     for _ in range(steps):
-        frac = 1.0 + t * mu[..., None]
-        f = z + 1.0 / mu - c * np.sum(w * t / frac, axis=-1)
-        fp = -1.0 / mu**2 + c * np.sum(w * t**2 / frac**2, axis=-1)
-        step = f / fp
+        step = (_x(y, c, t, w) - z) / _dx(y, c, t, w)
         for _ in range(60):
-            out = upper & ((mu - step).imag <= 0)
+            out = (y - step).imag < 0
             if not np.any(out):
                 break
             step = np.where(out, 0.5 * step, step)
-        mu = mu - step
-        if np.all(np.abs(step) <= tol * np.abs(mu)):
+        y = y - step
+        if np.all(np.abs(step) <= tol * np.abs(y)):
             break
-    return mu
+    return y
 
 
 def _solve_upper(z, c, t, w):
-    """Companion transform mu at each z with Im z > 0, by continuation in Im z.
+    """The root y of x(y) = z with Im y > 0 at each z with Im z > 0, by continuation in Im z.
 
     Above max(t) (1 + sqrt(c))^2 + |Re z| the point is far from the spectrum,
-    so mu is close to -1/z there.  Newton starts from that height and walks
-    it down to Im z by factors of 4, warm-started at each level.
+    so y is close to z there.  Newton starts from that height and walks it
+    down to Im z by factors of 4, warm-started at each level.
     """
     target = z.imag
     v = np.maximum(target, t[-1] * (1.0 + np.sqrt(c)) ** 2 + np.abs(z.real))
     zc = z.real + 1j * v
-    mu = _newton(-1.0 / zc, zc, c, t, w)
+    y = _newton(zc, zc, c, t, w)
     while np.any(v > target):
         act = v > target
         v[act] = np.maximum(v[act] / 4.0, target[act])
-        mu[act] = _newton(mu[act], z.real[act] + 1j * v[act], c, t, w)
-    return mu
+        y[act] = _newton(y[act], z.real[act] + 1j * v[act], c, t, w)
+    return y
 
 
-def _m_from_mu(mu, z, t, w):
-    # m = -(1/z) int dH(t) / (1 + t mu); unlike (mu + (1 - c)/z) / c it never divides by c
-    return -np.sum(w / (1.0 + t * mu[..., None]), axis=-1) / z
+def _inside_support(model, x):
+    """Mask of the real x inside an open lsd_support interval."""
+    inside = np.zeros(x.shape, dtype=bool)
+    for a, b in lsd_support(model):
+        inside |= (a < x) & (x < b)
+    return inside
 
 
-def _mu_prime(mu, c, t, w):
-    frac = 1.0 + t * mu[..., None]
-    dz_dmu = 1.0 / mu**2 - c * np.sum(w * t**2 / frac**2, axis=-1)
-    return 1.0 / dz_dmu
+def _solve(model, z):
+    """The physical root y = -1/mu of x(y) = z at each z with Im z >= 0.
+
+    Real z is solved 1e-9 above the axis and polished on it: from that root
+    inside the support, where Newton's guard keeps Im y > 0, and from its
+    real part outside, where the root is real and real steps keep it so.
+    Raises ConvergenceError unless every point satisfies the inverse map to
+    a backward error of 1e-10 relative to its terms.
+    """
+    c, t, w = model.c, model.H.values, model.H.weights
+    real = z.imag == 0
+    y = _solve_upper(np.where(real, z + 1e-9j, z), c, t, w)
+    if np.any(real):
+        start = np.where(_inside_support(model, z.real), y, y.real + 0j)
+        y[real] = _newton(start[real], z[real], c, t, w)
+    terms = c * w * t * y[:, None] / (y[:, None] - t)
+    resid = np.max(np.abs(z - y - terms.sum(-1)) / (np.abs(z) + np.abs(y) + np.abs(terms).sum(-1)))
+    if not resid <= 1e-10:
+        raise ConvergenceError("Stieltjes solver did not converge", last_iterate=-1.0 / y, residual=resid)
+    return y
 
 
 def solve_stieltjes_grid(model, zs):
     """Vectorized transform evaluation; returns arrays (m, m_under, m_under_prime).
 
-    The companion transform mu is found by Newton continuation on the inverse
-    map (see _solve_upper) and m is recovered from it.  Points in the lower
-    half plane are handled by conjugation symmetry.  Real z must lie outside
-    the support of F, decided by the exact lsd_support intervals and the atom
-    of F at 0 (when c > 1 or H has one); otherwise ValueError.  Such points
-    are solved 1e-9 above the axis and then polished on it; z = 0 outside the
-    support is a pole of mu and raises ValueError as well.  Raises
-    ConvergenceError unless every point satisfies the inverse map to a
-    backward error of 1e-10 relative to its terms and lies on the physical
-    branch: Im mu > 0 off the real axis, d mu / dz > 0 on it.
+    From the root y of x(y) = z (see _solve) come mu = -1/y,
+    mu' = 1/(y^2 x'(y)) and m = -(1/z) sum w y / (y - t); the lower half
+    plane follows by conjugation.  Real z must lie outside the support of F
+    (the lsd_support intervals, and the atom at 0 when c > 1 or H has one)
+    and off the pole of mu at z = 0; otherwise ValueError.  Raises
+    ConvergenceError as _solve does, or off the physical branch: Im mu > 0
+    off the real axis, d mu / dz > 0 on it.
     """
     c, t, w = model.c, model.H.values, model.H.weights
     zs = np.asarray(zs, dtype=complex)
@@ -180,7 +189,6 @@ def solve_stieltjes_grid(model, zs):
     lower = flat.imag < 0
     zq = np.where(lower, np.conj(flat), flat)
     real_mask = zq.imag == 0
-    mu = _solve_upper(np.where(real_mask, zq + 1e-9j, zq), c, t, w)
     if np.any(real_mask):
         x = zq.real[real_mask]
         # F has an atom at 0 when c > 1 or H has one
@@ -192,17 +200,10 @@ def solve_stieltjes_grid(model, zs):
         if np.any(x == 0):
             # outside the support, 0 is a pole of mu = -(1 - c)/z + c m(z)
             raise ValueError("the companion transform has a pole at z = 0")
-        mu[real_mask] = _newton(mu[real_mask].real + 0j, zq[real_mask], c, t, w)
-    terms = c * w * t / (1.0 + t * mu[:, None])
-    resid = np.abs(zq + 1.0 / mu - np.sum(terms, axis=-1)) / (
-        np.abs(zq) + np.abs(1.0 / mu) + np.sum(np.abs(terms), axis=-1)
-    )
-    m = _m_from_mu(mu, zq, t, w)
-    if not np.max(resid) <= 1e-10:
-        raise ConvergenceError(
-            "Stieltjes solver did not converge", last_iterate=m, residual=float(np.max(resid))
-        )
-    mup = _mu_prime(mu, c, t, w)
+    y = _solve(model, zq)
+    mu = -1.0 / y
+    mup = 1.0 / (y**2 * _dx(y, c, t, w))
+    m = -np.sum(w * y[:, None] / (y[:, None] - t), axis=-1) / zq
     # the physical branch has Im mu > 0 above the real axis and mu increasing on it
     if np.any(np.where(real_mask, mup.real <= 0, mu.imag <= 0)):
         raise ConvergenceError("companion transform is off the physical branch", last_iterate=m)
@@ -221,25 +222,19 @@ def solve_stieltjes(model, z):
     return StieltjesPair(m=complex(m[0]), m_under=complex(mu[0]), m_under_prime=complex(mup[0]))
 
 
-def lsd_density(model, x, eps=1e-6):
-    """Continuous-part density of F at real x by Stieltjes inversion.
+def lsd_density(model, x):
+    """Continuous-part density of F at real x, exact from the inverse map.
 
-    For c <= 1 this is Im(m)/pi; for c > 1 the companion transform is used
-    instead, Im(mu)/(pi c), because F itself carries a point mass at the
-    origin that would pollute the inversion nearby.
+    It is 0 off the open lsd_support intervals and Im(mu)/(pi c) inside
+    them, with mu = -1/y at the root y of x(y) = x with Im y > 0 (see
+    _solve).  On the real axis Im m = Im mu / c, so this holds for every c.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    m, mu, _ = solve_stieltjes_grid(model, xs + 1j * eps)
-    if model.c > 1:
-        dens = mu.imag / (np.pi * model.c)
-    else:
-        dens = m.imag / np.pi
-    if np.any(dens < -1e-8):
-        raise NumericError("negative density beyond tolerance")
-    dens = np.maximum(dens, 0.0)
-    return float(dens[0]) if np.isscalar(x) or np.ndim(x) == 0 else dens
+    inside = _inside_support(model, xs)
+    dens = np.zeros(xs.shape)
+    if np.any(inside):
+        dens[inside] = (-1.0 / _solve(model, xs[inside] + 0j)).imag / (np.pi * model.c)
+    return float(dens[0]) if np.ndim(x) == 0 else dens
 
 
 def mass_at_zero(model):

@@ -11,7 +11,7 @@ from scipy.optimize import brentq
 
 from .errors import ConvergenceError, NumericError, UnsupportedConfigError
 from .lss_clt import shape_to_sigma_eigs  # noqa: F401  (re-exported)
-from .mp_law import DiscreteMeasure, _moments_closed, _population_moments
+from .mp_law import DiscreteMeasure, SpectralModel, _population_moments, lsd_moments
 from .sign_geometry import SampleBatch, sscm
 
 TYLER_TOL = 1e-11  # relative change at which Tyler's sweeps stop
@@ -143,7 +143,7 @@ def select_num_atoms(sample_eigs, c_n):
         if m > 1 and _gauss_rule(alphas, m) is None:
             continue  # moment_method_psd would return a smaller candidate's rule
         H = moment_method_psd(eigs, c_n, m)
-        model = np.array(_moments_closed(c_n, H.values, H.weights)[:k])
+        model = np.array(lsd_moments(SpectralModel(c_n, H), k))
         score = float(np.sum(((model - beta_hat) / scale) ** 2)) + ATOM_PENALTY * (m - 1)
         if best is None or score < best[0]:
             best = (score, H)

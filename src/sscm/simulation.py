@@ -92,17 +92,10 @@ def _rng(seed, stream):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), int(stream)])))
 
 
-_V_CACHE = {}
-
-
 def model2_direction(seed, p):
-    """The fixed unit vector of the second model, drawn once and cached."""
-    key = (int(seed), int(p))
-    if key not in _V_CACHE:
-        g = _rng(seed, 0)
-        v = g.standard_normal(p)
-        _V_CACHE[key] = v / np.linalg.norm(v)
-    return _V_CACHE[key]
+    """The fixed unit vector of the second model, from substream 0 of the seed."""
+    v = _rng(seed, 0).standard_normal(p)
+    return v / np.linalg.norm(v)
 
 
 def model2_root(seed, p):

@@ -19,7 +19,7 @@ with warnings.catch_warnings():
 from sscm.mp_law import lsd_density, lsd_support
 
 
-def _density_moments(model, k_max, nodes=200, eps=1e-6):
+def _density_moments(model, k_max, nodes=200):
     """Moments beta_1..beta_k of the continuous part of F by quadrature.
 
     Integrates x^k against lsd_density over each interval of lsd_support with
@@ -32,7 +32,7 @@ def _density_moments(model, k_max, nodes=200, eps=1e-6):
     total = np.zeros(k_max)
     for a, b in lsd_support(model):
         x = a + (b - a) * np.sin(theta) ** 2
-        mass = wq * (b - a) * np.sin(2 * theta) * lsd_density(model, x, eps=eps)
+        mass = wq * (b - a) * np.sin(2 * theta) * lsd_density(model, x)
         total += [np.sum(mass * x**k) for k in range(1, k_max + 1)]
     return total
 

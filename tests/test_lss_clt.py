@@ -239,6 +239,14 @@ class TestContour:
         np.testing.assert_allclose(winding(outer[0], outer[1], inner[0]), 1.0, atol=1e-5)
         assert np.max(np.abs(inner[0])) < np.max(np.abs(outer[0]))
 
+    @pytest.mark.parametrize("ctx", [M1_CTX, m3_ctx(), two_level(0.5, 1.5, 200, 40)], ids=["iso", "m3", "c5"])
+    def test_solver_matches_ring_nodes(self, ctx):
+        # the ring's mu = -1/y and mu' = 1/(y^2 x'(y)) are exact at z = x(y); the solver must find them
+        (z, _, mu, mup), = _ring(ctx, (1.0,))
+        _, got_mu, got_mup = solve_stieltjes_grid(ctx.model, z)
+        np.testing.assert_allclose(got_mu, mu, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got_mup, mup, rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("ctx", [M1_CTX, m3_ctx(), two_level(0.1, 1.9, 200, 40)], ids=["iso", "m3", "c5"])
     def test_circle_off_the_physical_sheet_raises(self, ctx):
         with pytest.raises(NumericError, match="physical sheet"):

@@ -49,6 +49,21 @@ def polynomial_root(model, z):
     return roots[np.argmax(roots.imag)]
 
 
+def polished_upper_root(model, x, steps=4):
+    """polynomial_root at real x inside the support, refined by Newton.
+
+    The roots of the polynomial lose digits where they cluster (small c);
+    Newton on the rational form z + 1/mu - c sum w t / (1 + t mu) restores them.
+    """
+    t, w = model.H.values, model.H.weights
+    mu = polynomial_root(model, x)
+    for _ in range(steps):
+        f = x + 1.0 / mu - model.c * np.sum(w * t / (1.0 + t * mu))
+        fp = -1.0 / mu**2 + model.c * np.sum(w * t**2 / (1.0 + t * mu) ** 2)
+        mu -= f / fp
+    return mu
+
+
 def real_polynomial_root(model, x):
     """Companion transform mu at real x outside the support of F.
 
@@ -348,13 +363,26 @@ class TestDensitySupport:
         assert lsd_density(model, 4.5) < 1e-3
         assert lsd_density(model, -0.5) < 1e-3
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_density_matches_polynomial_root(self, data):
+        # inside the support, pi c times the density is Im mu at the upper root of the inverse map
+        model = data.draw(spectral_models(c_min=1e-3, c_max=20.0))
+        for a, b in lsd_support(model):
+            x = a + (b - a) * data.draw(st.floats(1e-3, 1.0 - 1e-3))
+            want = polished_upper_root(model, x).imag / (np.pi * model.c)
+            assert lsd_density(model, x) == pytest.approx(want, rel=1e-8, abs=0.0)
+
     def test_density_matches_classical_formula(self):
-        c = 0.5
-        model = MP(c)
-        for x in (0.5, 1.0, 1.5, 2.0):
+        # relative positions from 1e-5 of the width off each edge to the middle of the interval
+        edge = np.array([1e-5, 1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5])
+        u = np.concatenate([edge, 1.0 - edge[:-1]])
+        for c in (0.1, 0.5, 2.0):
             a, b = (1 - np.sqrt(c)) ** 2, (1 + np.sqrt(c)) ** 2
-            classical = np.sqrt((b - x) * (x - a)) / (2 * np.pi * c * x)
-            assert lsd_density(model, x, eps=1e-9) == pytest.approx(classical, rel=1e-4)
+            x = a + (b - a) * u
+            # (b - x)(x - a) from the offsets u, which carry no cancellation near the edges
+            classical = (b - a) * np.sqrt(u * (1 - u)) / (2 * np.pi * c * x)
+            np.testing.assert_allclose(lsd_density(MP(c), x), classical, rtol=1e-9, atol=0.0)
 
     def test_small_c_two_intervals(self):
         intervals = lsd_support(SpectralModel(0.01, TWO_ATOM))
@@ -370,7 +398,7 @@ class TestDensitySupport:
         model = MP(2.0)
         (lo, hi), = lsd_support(model)
         xs = np.linspace(lo + 1e-6, hi - 1e-6, 801)
-        dens = np.array([lsd_density(model, x, eps=1e-9) for x in xs])
+        dens = np.array([lsd_density(model, x) for x in xs])
         mass = trapezoid(dens, xs) + mass_at_zero(model)
         assert mass == pytest.approx(1.0, abs=5e-3)
 
