@@ -21,7 +21,7 @@ from scipy.optimize import brentq
 
 from .errors import NumericError, UnsupportedConfigError
 from .mp_law import (
-    DiscreteMeasure, SpectralModel, _dx, _outer_critical_roots, _x, lsd_moments, solve_stieltjes_grid,
+    DiscreteMeasure, SpectralModel, _outer_critical_roots, _x, _x_dx, lsd_moments, solve_stieltjes_grid,
 )
 
 
@@ -338,7 +338,7 @@ def _ring(ctx, scales):
     for scale in scales:
         step = 0.5 * scale * (hi - lo) * e
         y = 0.5 * (lo + hi) + step
-        z, dx = _x(y, *atoms), _dx(y, *atoms)
+        z, dx = _x_dx(y, *atoms)
         if np.any(z.imag * y.imag <= 0):
             raise NumericError("contour circle leaves the physical sheet of the inverse map")
         out.append((z, dx * step * (2j * np.pi / RING_NODES), -1.0 / y, 1.0 / (y**2 * dx)))

@@ -27,6 +27,8 @@ from scipy.optimize import brentq
 
 from .errors import ConvergenceError
 
+_EPS = np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
@@ -109,17 +111,31 @@ class StieltjesPair:
     m_under_prime: complex
 
 
-def _newton(y, z, c, t, w, steps=60, tol=1e-13):
-    """Newton on x(y) = z; a step that would take y below the real axis is halved until it does not."""
-    for _ in range(steps):
-        step = (_x(y, c, t, w) - z) / _dx(y, c, t, w)
+def _newton(y, z, c, t, w, tol=1e-13):
+    """Newton on x(y) = z, stopping each point on its own.
+
+    A point stops once its step is at most tol |y| or its residual
+    |x(y) - z| is at rounding level, 4 eps (|z| + |y|).  Near a support
+    edge x' is small, so rounding in x moves y by more than tol |y|, and
+    only the residual stop ends the point.  A step that would take y below
+    the real axis is halved until it does not.
+    """
+    y = np.array(y, dtype=complex)
+    z_abs = np.abs(z)
+    live = np.ones(y.shape, dtype=bool)
+    for _ in range(60):
+        x, dx = _x_dx(y, c, t, w)
+        resid = x - z
+        step = np.where(live, resid / dx, 0.0)
         for _ in range(60):
             out = (y - step).imag < 0
-            if not np.any(out):
+            if not out.any():
                 break
             step = np.where(out, 0.5 * step, step)
-        y = y - step
-        if np.all(np.abs(step) <= tol * np.abs(y)):
+        y -= step
+        y_abs = np.abs(y)
+        live &= (np.abs(step) > tol * y_abs) & (np.abs(resid) > 4 * _EPS * (z_abs + y_abs))
+        if not live.any():
             break
     return y
 
@@ -242,14 +258,23 @@ def mass_at_zero(model):
     return max(0.0, 1.0 - 1.0 / model.c)
 
 
+def _x_dx(y, c, t, w):
+    """The inverse map x(y) = y (1 + c sum w t / (y - t)) and x'(y) = 1 - c sum w t^2 / (y - t)^2.
+
+    Both at real or complex y, from one pass over the atoms.
+    """
+    q = t / (np.asarray(y)[..., None] - t)
+    return y * (1.0 + c * (q @ w)), 1.0 - c * ((q * q) @ w)
+
+
 def _x(y, c, t, w):
-    """The inverse map x(y) = y (1 + c sum w t / (y - t)) at real or complex y."""
-    return y * (1.0 + c * np.sum(w * t / (np.asarray(y)[..., None] - t), axis=-1))
+    """x(y) alone, for root finding in y."""
+    return _x_dx(y, c, t, w)[0]
 
 
 def _dx(y, c, t, w):
-    """x'(y) = 1 - c sum w t^2 / (y - t)^2 at real or complex y."""
-    return 1.0 - c * np.sum(w * t**2 / (np.asarray(y)[..., None] - t) ** 2, axis=-1)
+    """x'(y) alone, for root finding in y."""
+    return _x_dx(y, c, t, w)[1]
 
 
 def _outer_critical_roots(c, t, w):

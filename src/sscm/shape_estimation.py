@@ -34,7 +34,7 @@ class EstimatorReport:
     kind: EstimatorKind
     T_hat: np.ndarray
     spectrum: np.ndarray
-    iterations: int = 0
+    iterations: int = 0  # Tyler's map evaluations (T5, T6); 0 for the others
     frobenius_to: tuple | None = None  # (reference_name, distance)
     num_atoms: int | None = None  # atoms of the corrected spectrum (T2, T4, T6)
 
@@ -49,28 +49,64 @@ def psi_normalize(C):
 
 
 def tyler_m_estimator(X):
-    """Tyler's M-estimator of scatter, trace-normalized each sweep; p < n only."""
+    """Tyler's M-estimator of scatter, normalized to trace p; p < n only.
+
+    Returns (F(M), evaluations) for the first iterate M that one plain sweep
+    F(M) = psi((p/n) sum_i x_i x_i' / x_i' M^-1 x_i) changes by less than
+    TYLER_TOL relative, and the number of evaluations of F spent.  The plain
+    iteration converges linearly (Tyler 1987); SQUAREM, scheme S3 (Varadhan
+    and Roland 2008), accelerates it from M = I without moving its fixed
+    point.  Each cycle takes two sweeps F(M) and F(F(M)), forms
+    r = F(M) - M and v = F(F(M)) - 2 F(M) + M, and steps to
+    psi(M - 2 a r + a^2 v) with a = min(-|r|/|v|, -1), or to F(F(M)), which
+    is a = -1, when that matrix is not positive definite.  The step is kept
+    only if its own sweep changes it by less than F changed M; otherwise the
+    cycle resumes from F(F(M)), since unchecked steps can fall into a
+    2-cycle.  Every sweep is tested against the tolerance.  Raises
+    ValueError on a zero observation and ConvergenceError after
+    TYLER_MAX_ITER evaluations.
+    """
     if isinstance(X, SampleBatch):
         X = X.data
     X = np.asarray(X, dtype=float)
     n, p = X.shape
     if p >= n:
         raise UnsupportedConfigError("Tyler's M-estimator requires p < n")
-    M = np.eye(p)
-    iterations = 0
-    for _ in range(TYLER_MAX_ITER):
-        iterations += 1
+
+    def sweep(M):
         sol = np.linalg.solve(M, X.T)  # p x n
         quad = np.einsum("ij,ji->i", X, sol)
         if np.any(quad <= 0):
             raise ValueError("observations must be nonzero and M positive definite")
         M_new = (p / n) * (X.T * (1.0 / quad)) @ X
-        M_new = psi_normalize(0.5 * (M_new + M_new.T))
-        delta = np.linalg.norm(M_new - M) / np.linalg.norm(M)
-        M = M_new
+        return psi_normalize(0.5 * (M_new + M_new.T))
+
+    run = [np.eye(p)]  # a cycle's start and its plain sweeps
+    fallback = None  # the previous cycle's F(F(M)) while run[0] is its step
+    start_delta = np.inf  # the relative change F made to the previous cycle's start
+    for evaluations in range(1, TYLER_MAX_ITER + 1):
+        run.append(sweep(run[-1]))
+        delta = np.linalg.norm(run[-1] - run[-2]) / np.linalg.norm(run[-2])
         if delta < TYLER_TOL:
-            return M, iterations
-    raise ConvergenceError("Tyler fixed point did not converge", last_iterate=M, residual=delta)
+            return run[-1], evaluations
+        if len(run) == 2:
+            if fallback is not None and delta >= start_delta:
+                run, fallback = [fallback], None
+                continue
+            start_delta = delta
+        else:
+            r = run[1] - run[0]
+            v = run[2] - run[1] - r
+            a = min(-np.linalg.norm(r) / np.linalg.norm(v), -1.0)
+            M = run[0] - 2.0 * a * r + a * a * v
+            M = psi_normalize(0.5 * (M + M.T))
+            try:
+                np.linalg.cholesky(M)
+            except np.linalg.LinAlgError:
+                run, fallback = [run[2]], None
+            else:
+                run, fallback = [M], run[2]
+    raise ConvergenceError("Tyler fixed point did not converge", last_iterate=run[-1], residual=delta)
 
 
 def _gauss_rule(alphas, m):
@@ -238,8 +274,7 @@ def estimate_shape(X, kind, num_atoms=None, tau=3.0, reference=None):
     elif kind in (EstimatorKind.VISURI_SSCM, EstimatorKind.SPECTRUM_CORRECTED_SSCM):
         S = sscm(X, center=np.zeros(p)).matrix
     else:
-        M, iterations = tyler_m_estimator(X)
-        S = psi_normalize(M)
+        S, iterations = tyler_m_estimator(X)
 
     if kind in (EstimatorKind.REGULARIZED_SCM, EstimatorKind.REGULARIZED_TYLER):
         T_hat = S

@@ -1,6 +1,7 @@
 """Oracle and property tests for the limiting spectral law solver."""
 
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
+from sscm import mp_law
 from sscm.mp_law import (
     DiscreteMeasure,
     SpectralModel,
@@ -120,9 +122,9 @@ def scan_support_edges(model, grid=20001):
 
 
 @st.composite
-def spectral_models(draw, c_min=0.005, c_max=3.0):
-    """1-4 atoms in [0.05, 5] with weights bounded away from 0, c in [c_min, c_max]."""
-    k = draw(st.integers(1, 4))
+def spectral_models(draw, c_min=0.005, c_max=3.0, max_atoms=4):
+    """1-max_atoms atoms in [0.05, 5] with weights bounded away from 0, c in [c_min, c_max]."""
+    k = draw(st.integers(1, max_atoms))
     values = sorted(draw(st.lists(st.floats(0.05, 5.0), min_size=k, max_size=k, unique=True)))
     weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
     c = draw(st.floats(c_min, c_max))
@@ -299,6 +301,38 @@ class TestSolver:
         assert pair.m.imag == 0 and pair.m_under.imag == 0
         want = real_polynomial_root(model, x)
         assert abs(pair.m_under.real - want) <= 1e-9 * abs(want)
+
+    # c stays off 1, where the lower edge nears 0: _solve starts a real z from
+    # its root at z + 1e-9 i, which is then far from the real root
+    @settings(max_examples=100, deadline=None)
+    @given(spectral_models(c_max=0.99, max_atoms=2) | spectral_models(c_min=1.01, max_atoms=2))
+    def test_newton_stops_near_an_edge(self, model):
+        # 1e-8 outside an edge x'(y) is about 1e-4, so rounding in x moves y by
+        # more than Newton's step stop of 1e-13 |y|; the rounding-level residual
+        # stop ends each Newton solve, at every continuation level and in the polish
+        support = lsd_support(model)
+        xs = [x for a, b in support for x in (a * (1 - 1e-8), b * (1 + 1e-8))]
+        xs = [x for x in xs if x > 0 and not any(a <= x <= b for a, b in support)]
+        x_dx, newton = mp_law._x_dx, mp_law._newton
+        calls, per_solve = [0], []
+
+        def counted_x_dx(*args):
+            calls[0] += 1
+            return x_dx(*args)
+
+        def counted_newton(*args):
+            before = calls[0]
+            y = newton(*args)
+            per_solve.append(calls[0] - before)
+            return y
+
+        with (
+            mock.patch.object(mp_law, "_x_dx", counted_x_dx),
+            mock.patch.object(mp_law, "_newton", counted_newton),
+        ):
+            for x in xs:
+                solve_stieltjes(model, x)  # raises unless within the 1e-10 backward-error gate
+        assert max(per_solve) <= 30
 
     @pytest.mark.parametrize("c, H, edge", EDGES, ids=EDGE_IDS)
     @pytest.mark.parametrize("dist", [1e-3, 1e-8])

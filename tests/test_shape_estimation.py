@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sscm.errors import NumericError, UnsupportedConfigError
+from sscm import shape_estimation
+from sscm.errors import ConvergenceError, NumericError, UnsupportedConfigError
 from sscm.mp_law import DiscreteMeasure, _moments_closed, _population_moments
 from sscm.shape_estimation import (
     EstimatorKind,
@@ -43,6 +44,54 @@ class TestPsi:
         M = rng.standard_normal((4, 4))
         C = M @ M.T
         np.testing.assert_allclose(psi_normalize(C), psi_normalize(42.0 * C), atol=1e-12)
+
+
+def plain_tyler_sweep(X, M):
+    """One sweep of Tyler's map, psi((p/n) sum x x' / x' M^-1 x), by whitening with M = L L'.
+
+    x' M^-1 x is |L^-1 x|^2.  With an explicit inverse of M the rounding
+    exceeds 1e-11 where M has condition 1e7.
+    """
+    n, p = X.shape
+    W = np.linalg.solve(np.linalg.cholesky(M), X.T)
+    S = (X.T / np.sum(W * W, axis=0)) @ X
+    S = 0.5 * (S + S.T)
+    return p * S / np.trace(S)
+
+
+def plain_tyler(X, tol):
+    """Tyler's plain fixed-point iteration from I, until a sweep changes M by < tol relative."""
+    M = np.eye(X.shape[1])
+    for _ in range(10000):
+        M_new = plain_tyler_sweep(X, M)
+        if np.linalg.norm(M_new - M) < tol * np.linalg.norm(M):
+            return M_new
+        M = M_new
+    raise AssertionError("plain Tyler iteration did not reach the tolerance")
+
+
+def sweep_change(X, M):
+    return np.linalg.norm(plain_tyler_sweep(X, M) - M) / np.linalg.norm(M)
+
+
+@st.composite
+def tyler_samples(draw):
+    """p in 2..12 and n in p+1..4p, some rows scaled by 1e-6 or 1e6, maybe a nearly collinear pair.
+
+    Two rows on one line through 0 put 2 of n points in a line, which Tyler's
+    estimator tolerates only for 2/n < 1/p (Kent and Tyler 1988), so a nearly
+    collinear pair comes with n >= 2p + 2.
+    """
+    p = draw(st.integers(2, 12))
+    collinear = draw(st.booleans())
+    n = draw(st.integers(2 * p + 2 if collinear else p + 1, 4 * p))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((n, p))
+    if collinear:
+        gap = draw(st.sampled_from([1e-2, 1e-5, 1e-9]))
+        X[1] = -3.0 * X[0] + gap * np.linalg.norm(X[0]) * rng.standard_normal(p)
+    scale = draw(st.lists(st.sampled_from([1e-6, 1.0, 1e6]), min_size=n, max_size=n))
+    return X * np.array(scale)[:, None]
 
 
 class TestTyler:
@@ -81,6 +130,50 @@ class TestTyler:
         X[7] = 0.0
         with pytest.raises(ValueError, match="nonzero"):
             tyler_m_estimator(X)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.01])
+    def test_matches_plain_fixed_point(self, eps):
+        spec = ModelSpec("M4", p=80, n=100, epsilon=eps, seed=2718)
+        for r in range(5):
+            X = generate_sample(spec, replicate=r).data
+            M, evaluations = tyler_m_estimator(X)
+            assert sweep_change(X, M) < 1e-11
+            assert np.max(np.abs(M - plain_tyler(X, 1e-14))) < 1e-9
+            assert evaluations <= 40  # the plain iteration takes about 130
+
+    def test_evaluation_limit_raises(self, monkeypatch):
+        monkeypatch.setattr(shape_estimation, "TYLER_MAX_ITER", 3)
+        X = np.random.default_rng(6).standard_normal((60, 8))
+        with pytest.raises(ConvergenceError) as info:
+            tyler_m_estimator(X)
+        assert np.trace(info.value.last_iterate) == pytest.approx(8.0, abs=1e-9)
+        assert info.value.residual >= shape_estimation.TYLER_TOL
+
+    def test_extrapolation_that_cycles_is_rejected(self):
+        # five of six rows within 3 degrees of one another: unchecked SQUAREM steps
+        # alternate between two matrices with relative changes 1.2e-3 and 1.5e-2
+        X = np.array([
+            [0.893313035, 0.286340361],
+            [-2.67260682, -0.858842666],
+            [0.615014056, 1.24276616],
+            [1.96529120, 0.662469067],
+            [-1.24797781, -0.448006847],
+            [-0.330324533, -0.123927932],
+        ])
+        M, evaluations = tyler_m_estimator(X)
+        assert sweep_change(X, M) < 1e-11
+        assert np.max(np.abs(M - plain_tyler(X, 1e-14))) < 1e-9
+        assert evaluations <= 40
+
+    @settings(max_examples=200, deadline=None)
+    @given(tyler_samples())
+    def test_certified_positive_definite_fixed_point(self, X):
+        M, _ = tyler_m_estimator(X)
+        p = X.shape[1]
+        np.testing.assert_allclose(M, M.T, rtol=0, atol=1e-12)
+        assert np.trace(M) == pytest.approx(p, abs=1e-9)
+        np.linalg.cholesky(M)
+        assert sweep_change(X, M) < 1e-11
 
 
 def _sample_moments(eigs, k):
