@@ -34,11 +34,11 @@ class ShapeContext:
     tau = E z^4 of the coordinates; and the radial dispersion ratio r_w >= 1.
     Everything else follows from them: the population sign covariance sigma,
     the second-order expansion of T in tau (1-d when A is); H_p, the
-    spectral distribution of sigma; c_n = p / n; and the squared-trace and
-    Hadamard-trace summaries trace_sigma2_over_p = tr(sigma^2) / p and
-    zeta_p = tr(T^2) / p of the kernels.  sigma and H_p are derived when the
-    context is built, so dataclasses.replace(ctx, tau=...) gives them at the
-    new tau.  Raises ValueError unless A is finite, tr(A A') = p and r_w >= 1.
+    spectral distribution of sigma; c_n = p / n; and the kernels' summaries:
+    trace_sigma2_over_p = tr(sigma^2) / p here, the Hadamard-trace terms in
+    _HadamardOps.  sigma and H_p are derived when the context is built, so
+    dataclasses.replace(ctx, tau=...) gives them at the new tau.  Raises
+    ValueError unless A is finite, tr(A A') = p and r_w >= 1.
     """
 
     A: np.ndarray
@@ -88,12 +88,6 @@ class ShapeContext:
     def trace_sigma2_over_p(self):
         return float(np.sum(self.sigma**2) / self.A.shape[0])
 
-    @cached_property
-    def zeta_p(self):
-        """tr(T^2) / p, taken as |A'A|^2 / p in the Frobenius norm."""
-        AtA = self.A**2 if self.diagonal else self.A.T @ self.A
-        return float(np.sum(AtA * AtA) / self.A.shape[0])
-
     @property
     def model(self):
         return SpectralModel(self.c_n, self.H_p)
@@ -122,7 +116,7 @@ class ShapeContext:
 
     @staticmethod
     def from_matrix(A, n, tau=3.0, r_w=1.0):
-        """General mixing matrix A with T = A A' of trace p."""
+        """General mixing matrix A with T = A A' of trace p; a 1-d A is its diagonal."""
         return ShapeContext(A, n, tau, r_w)
 
 
@@ -167,32 +161,32 @@ class NormalApprox:
 
 
 class _HadamardOps:
-    """h_p, g_p and their derivatives in the eigenbasis of sigma.
+    """h_p, g_p, their derivatives and zeta_p in the eigenbasis of sigma.
 
     With sigma = Q diag(lam) Q', B = Q'A with rows b_k and phi_k(u) =
-    1/(lam_k - u): h_p(u) = sum_k d_k phi_k(u) and g_p(u, v) = phi(u)' M phi(v),
-    where d_k = b_k' A'A b_k / p and M_kl = (b_k . b_l)^2 / p.  For diagonal A
-    and sigma, d = A^4 / p and M = diag(d).  Terms sharing an eigenvalue of
-    sigma are summed, so evaluations cost O(#distinct eigenvalues^2).
+    1/(lam_k - u): g_p(u, v) = phi(u)' M phi(v) with M_kl = (b_k . b_l)^2 / p,
+    and h_p(u) = sum_k d_k phi_k(u) with d_k = b_k' A'A b_k / p, which is the
+    row sum of M since A'A = B'B.  So zeta_p = tr(T^2) / p = sum_k d_k.  For
+    diagonal A, Q = I and M = diag(A^4) / p.  Each eigenvector joins the atom
+    of H_p nearest its eigenvalue, so lam = H_p.values and evaluations cost
+    O(#atoms^2).
     """
 
     def __init__(self, ctx):
-        A = np.asarray(ctx.A, dtype=float)
-        p = A.shape[0]
+        A, p = ctx.A, ctx.A.shape[0]
         if ctx.diagonal:
-            lam = np.asarray(ctx.sigma, dtype=float)
-            d = A**4 / p
-            M = np.diag(d)
+            eigs = ctx.sigma
+            M = np.diag(A**4 / p)
         else:
-            lam, Q = np.linalg.eigh(np.asarray(ctx.sigma, dtype=float))
+            eigs, Q = np.linalg.eigh(ctx.sigma)
             B = Q.T @ A
-            d = np.sum((B @ (A.T @ A)) * B, axis=1) / p
             M = (B @ B.T) ** 2 / p
-        _, group = np.unique(np.round(lam, 12), return_inverse=True)
-        S = (group == np.arange(group.max() + 1)[:, None]).astype(float)
-        self.lam = (S @ lam) / S.sum(axis=1)
-        self.d = S @ d
+        self.lam = ctx.H_p.values
+        group = np.searchsorted(0.5 * (self.lam[1:] + self.lam[:-1]), eigs)
+        S = (group == np.arange(self.lam.size)[:, None]).astype(float)
         self.M = S @ M @ S.T
+        self.d = self.M.sum(axis=1)
+        self.zeta_p = float(self.d.sum())
 
     def _phi(self, u):
         return 1.0 / (self.lam - np.asarray(u)[..., None])
@@ -244,7 +238,7 @@ def _mu2(ctx, ops, mu, mup, z):
     int_t2 = np.sum(w * t / (1.0 + t * mu[..., None]) ** 2, axis=-1)
     one_zm = 1.0 + z * mu
     term1 = c * mup / mu**2 * ops.g_d1_diag(u)
-    term2 = ctx.zeta_p * one_zm * mup * int_t2
+    term2 = ops.zeta_p * one_zm * mup * int_t2
     term3 = one_zm * mup / mu**2 * ops.h_prime(u)
     term4 = c * mup * int_t2 * ops.h(u)
     return term1 + term2 - term3 - term4
@@ -288,7 +282,7 @@ def _cov_kernels(ctx, ops, z1, mu1, mup1, z2, mu2, mup2):
     u2, up2 = -1.0 / mu2, mup2 / mu2**2
     s2 = (
         c * up1[:, None] * up2[None, :] * ops.g_d12(u1, u2)
-        + ctx.zeta_p / c * e1 * e2
+        + ops.zeta_p / c * e1 * e2
         - e1 * (up2 * ops.h_prime(u2))[None, :]
         - e2 * (up1 * ops.h_prime(u1))[:, None]
     )

@@ -158,20 +158,14 @@ def _solve_upper(z, c, t, w):
     return y
 
 
-def _inside_support(model, x):
-    """Mask of the real x inside an open lsd_support interval."""
-    inside = np.zeros(x.shape, dtype=bool)
-    for a, b in lsd_support(model):
-        inside |= (a < x) & (x < b)
-    return inside
-
-
-def _solve(model, z):
+def _solve(model, z, inside):
     """The physical root y = -1/mu of x(y) = z at each z with Im z >= 0.
 
-    Real z is solved 1e-9 above the axis and polished on it: from that root
-    inside the support, where Newton's guard keeps Im y > 0, and from its
-    real part outside, where the root is real and real steps keep it so.
+    Real z is solved 1e-9 above the axis and polished on it.  The caller
+    says where its real z lie: all inside the open support intervals
+    (inside=True), where the polish starts from that root and Newton's
+    guard keeps Im y > 0, or all off the support, where it starts from the
+    real part, since the root is real and real steps keep it so.
     Raises ConvergenceError unless every point satisfies the inverse map to
     a backward error of 1e-10 relative to its terms.
     """
@@ -179,8 +173,8 @@ def _solve(model, z):
     real = z.imag == 0
     y = _solve_upper(np.where(real, z + 1e-9j, z), c, t, w)
     if np.any(real):
-        start = np.where(_inside_support(model, z.real), y, y.real + 0j)
-        y[real] = _newton(start[real], z[real], c, t, w)
+        start = y[real] if inside else y[real].real + 0j
+        y[real] = _newton(start, z[real], c, t, w)
     terms = c * w * t * y[:, None] / (y[:, None] - t)
     resid = np.max(np.abs(z - y - terms.sum(-1)) / (np.abs(z) + np.abs(y) + np.abs(terms).sum(-1)))
     if not resid <= 1e-10:
@@ -216,7 +210,7 @@ def solve_stieltjes_grid(model, zs):
         if np.any(x == 0):
             # outside the support, 0 is a pole of mu = -(1 - c)/z + c m(z)
             raise ValueError("the companion transform has a pole at z = 0")
-    y = _solve(model, zq)
+    y = _solve(model, zq, False)
     mu = -1.0 / y
     mup = 1.0 / (y**2 * _dx(y, c, t, w))
     m = -np.sum(w * y[:, None] / (y[:, None] - t), axis=-1) / zq
@@ -246,10 +240,12 @@ def lsd_density(model, x):
     _solve).  On the real axis Im m = Im mu / c, so this holds for every c.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    inside = _inside_support(model, xs)
+    inside = np.zeros(xs.shape, dtype=bool)
+    for a, b in lsd_support(model):
+        inside |= (a < xs) & (xs < b)
     dens = np.zeros(xs.shape)
     if np.any(inside):
-        dens[inside] = (-1.0 / _solve(model, xs[inside] + 0j)).imag / (np.pi * model.c)
+        dens[inside] = (-1.0 / _solve(model, xs[inside] + 0j, True)).imag / (np.pi * model.c)
     return float(dens[0]) if np.ndim(x) == 0 else dens
 
 

@@ -134,7 +134,18 @@ def _gauss_rule(alphas, m):
 
 
 def _sample_moments(eigs, k):
-    return np.array([np.mean(eigs**j) for j in range(1, k + 1)])
+    """beta_1..beta_k of the sample eigenvalues; ValueError unless their mean is positive."""
+    beta = np.array([np.mean(eigs**j) for j in range(1, k + 1)])
+    if not beta[0] > 0:
+        raise ValueError("sample eigenvalues must have a positive mean")
+    return beta
+
+
+def _drop_light_atoms(rule):
+    """The measure of a Gauss rule without its atoms of weight < 0.01, renormalized."""
+    vals, w = rule
+    keep = w >= 0.01
+    return DiscreteMeasure.from_eigenvalues(vals[keep], w[keep], merge_tol=1e-8)
 
 
 def moment_method_psd(sample_eigs, c_n, num_atoms):
@@ -153,32 +164,32 @@ def moment_method_psd(sample_eigs, c_n, num_atoms):
     if num_atoms not in (1, 2, 3):
         raise ValueError("num_atoms must be 1, 2 or 3")
     beta_hat = _sample_moments(np.asarray(sample_eigs, dtype=float), 2 * num_atoms - 1)
-    if not beta_hat[0] > 0:
-        raise ValueError("sample eigenvalues must have a positive mean")
     alphas = _population_moments(c_n, beta_hat)
-    vals, w = next(r for m in range(num_atoms, 0, -1) if (r := _gauss_rule(alphas, m)) is not None)
-    keep = w >= 0.01
-    return DiscreteMeasure.from_eigenvalues(vals[keep], w[keep], merge_tol=1e-8)
+    rule = next(r for m in range(num_atoms, 0, -1) if (r := _gauss_rule(alphas, m)) is not None)
+    return _drop_light_atoms(rule)
 
 
 def select_num_atoms(sample_eigs, c_n):
     """Pick the atom count with the best penalized moment mismatch.
 
-    Each candidate m is the Gauss rule of its own first 2m - 1 moments, but
-    all candidates are scored on a common basis (the first 2*MAX_ATOMS
-    relative moment mismatches) so that low-order fits pay for what they
-    miss higher up.  A candidate m with no rule of its own is skipped.
+    Each candidate m is the Gauss rule of its own first 2m - 1 moments, as
+    moment_method_psd(eigs, c_n, m) returns it, but all candidates are
+    scored on a common basis (the first 2*MAX_ATOMS relative moment
+    mismatches) so that low-order fits pay for what they miss higher up.
+    The population moments alpha_k depend on beta_1..beta_k only, so one
+    forward substitution serves every candidate.  A candidate m with no
+    rule of its own is skipped; m = 1 always has one.
     """
-    eigs = np.asarray(sample_eigs, dtype=float)
     k = 2 * MAX_ATOMS
-    beta_hat = _sample_moments(eigs, k)
+    beta_hat = _sample_moments(np.asarray(sample_eigs, dtype=float), k)
     scale = np.maximum(np.abs(beta_hat), 1e-3)
     alphas = _population_moments(c_n, beta_hat[: k - 1])
     best = None
     for m in range(1, MAX_ATOMS + 1):
-        if m > 1 and _gauss_rule(alphas, m) is None:
+        rule = _gauss_rule(alphas, m)
+        if rule is None:
             continue  # moment_method_psd would return a smaller candidate's rule
-        H = moment_method_psd(eigs, c_n, m)
+        H = _drop_light_atoms(rule)
         model = np.array(lsd_moments(SpectralModel(c_n, H), k))
         score = float(np.sum(((model - beta_hat) / scale) ** 2)) + ATOM_PENALTY * (m - 1)
         if best is None or score < best[0]:

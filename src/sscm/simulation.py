@@ -92,72 +92,66 @@ def _rng(seed, stream):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), int(stream)])))
 
 
-def model2_direction(seed, p):
-    """The fixed unit vector of the second model, from substream 0 of the seed."""
-    v = _rng(seed, 0).standard_normal(p)
-    return v / np.linalg.norm(v)
+def model_root(spec):
+    """The model's mixing matrix A, whose shape T = A A' has trace p.
 
-
-def model2_root(seed, p):
-    """A = T^{1/2} of the second model, T = (I + vv')/(1 + 1/p): sqrt(2) along v."""
-    v = model2_direction(seed, p)
-    return (np.eye(p) + (math.sqrt(2.0) - 1.0) * np.outer(v, v)) / math.sqrt(1.0 + 1.0 / p)
-
-
-def _two_block_diag(p, low, high):
-    return np.concatenate([np.full(p // 2, low), np.full(p // 2, high)])
+    A is the 1-d diagonal sqrt(t) for M1 (t = 1) and for the two-block
+    M3-M5 (t = 1/2 on the first half, 3/2 on the second).  For M2 it is the
+    dense T^{1/2} of T = (I + vv')/(1 + 1/p): sqrt(2) along the unit vector
+    v drawn from substream 0 of the seed, so every replicate shares it.
+    """
+    p = spec.p
+    if spec.id == "M1":
+        return np.ones(p)
+    if spec.id == "M2":
+        v = _rng(spec.seed, 0).standard_normal(p)
+        v /= np.linalg.norm(v)
+        return (np.eye(p) + (math.sqrt(2.0) - 1.0) * np.outer(v, v)) / math.sqrt(1.0 + 1.0 / p)
+    return np.sqrt(np.repeat([0.5, 1.5], p // 2))
 
 
 def model_shape(spec):
-    """Population shape matrix T (trace p) of the model, as a dense array."""
-    p = spec.p
-    if spec.id == "M1":
-        return np.eye(p)
-    if spec.id == "M2":
-        v = model2_direction(spec.seed, p)
-        return (np.eye(p) + np.outer(v, v)) / (1.0 + 1.0 / p)
-    # M3, M4, M5 share the two-level diagonal shape
-    return np.diag(_two_block_diag(p, 0.5, 1.5))
+    """Population shape matrix T = A A' (trace p) of the model, as a dense array."""
+    A = model_root(spec)
+    A = np.diag(A) if A.ndim == 1 else A
+    return A @ A.T
 
 
 def generate_sample(spec, replicate=0):
     """Draw one n x p sample from the model; replicate keys the substream."""
     g = _rng(spec.seed, replicate + 1)
     p, n = spec.p, spec.n
+    A = model_root(spec)
     if spec.id == "M1":
-        # z = chi^2_2 / 2 - 1 = Exp(1) - 1; w constant, T identity
+        # z = chi^2_2 / 2 - 1 = Exp(1) - 1; w constant, A identity
         X = g.exponential(1.0, size=(n, p)) - 1.0
     elif spec.id == "M2":
-        Y = g.standard_normal((n, p)) @ model2_root(spec.seed, p)
+        Y = g.standard_normal((n, p)) @ A
         w = np.where(g.random(n) < 0.5, 1.0, 0.2)
         X = w[:, None] * Y
     elif spec.id == "M3":
         # standardized Gamma(5, 2): mean 5/2, sd sqrt(5)/2
         Z = (2.0 / math.sqrt(5.0)) * (g.gamma(5.0, 0.5, size=(n, p)) - 2.5)
-        t = _two_block_diag(p, 0.5, 1.5)
         w = g.beta(4.0, 2.0, size=n)
-        X = w[:, None] * (Z * np.sqrt(t))
+        X = w[:, None] * (Z * A)
     else:  # M4 / M5 contaminated normal, fixed outlier count
-        t = _two_block_diag(p, 0.5, 1.5)
-        t_out = 16.0 * (t if spec.id == "M4" else _two_block_diag(p, 1.5, 0.5))
         n_out = int(math.floor(n * spec.epsilon))
-        X = g.standard_normal((n, p)) * np.sqrt(t)
+        X = g.standard_normal((n, p)) * A
         if n_out:
-            X[:n_out] = g.standard_normal((n_out, p)) * np.sqrt(t_out)
+            # outliers have shape 16 T (M4) or 16 T with the blocks swapped (M5)
+            X[:n_out] = g.standard_normal((n_out, p)) * (4.0 * (A if spec.id == "M4" else A[::-1]))
     return SampleBatch(X)
 
 
+# (tau, r_w) of the models that have a CLT context
+_CLT_TAU_RW = {"M1": (9.0, 1.0), "M2": (3.0, 13.0 / 9.0), "M3": (4.2, 1.2)}
+
+
 def model_context(spec):
-    """CLT shape context matching the model's (T, tau, r_w) at its size (p, n)."""
-    if spec.id == "M1":
-        return ShapeContext.isotropic(spec.p, spec.n, tau=9.0, r_w=1.0)
-    if spec.id == "M2":
-        return ShapeContext.from_matrix(model2_root(spec.seed, spec.p), spec.n, tau=3.0, r_w=13.0 / 9.0)
-    if spec.id == "M3":
-        return ShapeContext.from_diagonal_shape(
-            _two_block_diag(spec.p, 0.5, 1.5), spec.n, tau=4.2, r_w=1.2
-        )
-    raise UnsupportedConfigError(f"no CLT context for model {spec.id}")
+    """CLT shape context matching the model's (A, tau, r_w) at its size (p, n)."""
+    if spec.id not in _CLT_TAU_RW:
+        raise UnsupportedConfigError(f"no CLT context for model {spec.id}")
+    return ShapeContext.from_matrix(model_root(spec), spec.n, *_CLT_TAU_RW[spec.id])
 
 
 # (header, row format) of the CSV output of each experiment

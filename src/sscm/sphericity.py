@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -25,18 +25,7 @@ class TestReport:
     r_w_source: str
 
     def to_json(self):
-        return json.dumps(
-            {
-                "test": self.test,
-                "statistic": self.statistic,
-                "p_value": self.p_value,
-                "raw": self.raw,
-                "kappa": self.kappa,
-                "c_n": self.c_n,
-                "r_w_used": self.r_w_used,
-                "r_w_source": self.r_w_source,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def _unwrap(B):

@@ -22,6 +22,7 @@ from sscm.lss_clt import (
     mean_kernel,
 )
 from sscm.mp_law import lsd_support, solve_stieltjes_grid
+from sscm.simulation import ModelSpec, model_context
 
 M1_CTX = ShapeContext.isotropic(200, 100, tau=9.0, r_w=1.0)
 
@@ -61,6 +62,7 @@ def mixed_partial_oracle(ctx, z1, z2, step=2e-3):
         A, sig = np.diag(A), np.diag(sig)
     p = A.shape[0]
     c = ctx.c_n
+    zeta = np.sum((A.T @ A) ** 2) / p  # tr(T^2) / p
 
     def res(u):  # A'(sigma - u)^-1 A
         return A.T @ np.linalg.solve(sig - u * np.eye(p), A)
@@ -72,7 +74,7 @@ def mixed_partial_oracle(ctx, z1, z2, step=2e-3):
         rest1 = (ctx.trace_sigma2_over_p / c + 1.0 / (c * ma) + 1.0 / (c * mb)) * ea * eb - a * ma - b * mb
         Ra, Rb = res(-1.0 / ma), res(-1.0 / mb)
         h = lambda R: np.trace(R @ A.T @ A) / p
-        s2 = c * np.trace(Ra @ Rb) / p + ctx.zeta_p / c * ea * eb - ea * h(Rb) - eb * h(Ra)
+        s2 = c * np.trace(Ra @ Rb) / p + zeta / c * ea * eb - ea * h(Rb) - eb * h(Ra)
         return ratio, rest1, s2
 
     def central(dz):
@@ -264,6 +266,39 @@ class TestKernels:
         ops = ctx._hadamard
         assert ops.d.size == p
         np.testing.assert_allclose(ops.d, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind", ["rotated", "diagonal", "m2"])
+    def test_hadamard_terms_match_dense_resolvents(self, kind):
+        # h(u) = tr(A'(sigma - u)^-1 A A'A)/p, g(u, v) = tr(A'(sigma - u)^-1 A A'(sigma - v)^-1 A)/p
+        # and zeta = sum T o T / p; u-derivatives square the resolvent
+        if kind == "rotated":  # two atoms of 20 eigenvectors each, in a random basis
+            t = np.repeat([0.5, 1.5], 20)
+            ctx = ShapeContext.from_matrix(random_orthogonal(40, 4) @ np.diag(np.sqrt(t)), 80, tau=4.2, r_w=1.2)
+            assert ctx.H_p.values.size == 2
+        elif kind == "diagonal":
+            ctx = m3_ctx(40, 80)
+        else:
+            ctx = dataclasses.replace(model_context(ModelSpec("M2", p=40, n=80, seed=0)), tau=4.2)
+        A = np.diag(ctx.A) if ctx.diagonal else ctx.A
+        sig = np.diag(ctx.sigma) if ctx.diagonal else ctx.sigma
+        p = A.shape[0]
+        T = A @ A.T
+
+        def res(u, k=1):  # A'(sigma - u)^-k A
+            R = np.linalg.inv(sig - u * np.eye(p))
+            return A.T @ np.linalg.matrix_power(R, k) @ A
+
+        u, v = 0.7 + 0.5j, 1.9 - 0.3j
+        ops = ctx._hadamard
+        pairs = [
+            (ops.h(u), np.trace(res(u) @ A.T @ A) / p),
+            (ops.h_prime(u), np.trace(res(u, 2) @ A.T @ A) / p),
+            (ops.g_d1_diag(u), np.trace(res(u, 2) @ res(u)) / p),
+            (ops.g_d12(np.array([u]), np.array([v]))[0, 0], np.trace(res(u, 2) @ res(v, 2)) / p),
+            (ops.zeta_p, np.sum(T * T) / p),
+        ]
+        for got, want in pairs:
+            assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_cov_kernel_symmetry(self):
         z1, z2 = 1.1 + 0.9j, 2.3 + 0.7j

@@ -334,6 +334,24 @@ class TestSolver:
                 solve_stieltjes(model, x)  # raises unless within the 1e-10 backward-error gate
         assert max(per_solve) <= 30
 
+    def test_real_z_computes_the_support_once(self):
+        # each caller knows on which side of the support its real z lie and
+        # tells _solve, which therefore does not compute the support again
+        model = SpectralModel(0.3, DiscreteMeasure(((0.5, 0.6), (4.0, 0.4))))
+        (_, hi1), (lo2, hi2) = lsd_support(model)
+        support = mp_law.lsd_support
+        calls = [0]
+
+        def counted_support(*args):
+            calls[0] += 1
+            return support(*args)
+
+        with mock.patch.object(mp_law, "lsd_support", counted_support):
+            solve_stieltjes_grid(model, np.array([0.5 * (hi1 + lo2), 2.0 * hi2, 1.0 + 1.0j]))
+            assert calls[0] == 1
+            lsd_density(model, np.linspace(0.0, 1.1 * hi2, 9))
+            assert calls[0] == 2
+
     @pytest.mark.parametrize("c, H, edge", EDGES, ids=EDGE_IDS)
     @pytest.mark.parametrize("dist", [1e-3, 1e-8])
     def test_real_z_inside_the_support_raises(self, c, H, edge, dist):

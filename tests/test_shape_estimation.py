@@ -1,6 +1,7 @@
 """Tests for the six shape estimators and their building blocks."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -309,6 +310,25 @@ class TestMomentMethod:
         eigs = np.linalg.eigvalsh(psi_normalize(X.T @ X / n))
         H = select_num_atoms(eigs, p / n)
         assert len(H.atoms) >= 2
+
+    @pytest.mark.parametrize("spectrum", ["SCM", "SSCM", "Tyler"])
+    def test_selection_builds_each_gauss_rule_once(self, m4_spectra, spectrum):
+        spectra, c = m4_spectra
+        rule, candidates = shape_estimation._gauss_rule, []
+
+        def counted_rule(alphas, m):
+            candidates.append(m)
+            return rule(alphas, m)
+
+        with mock.patch.object(shape_estimation, "_gauss_rule", counted_rule):
+            H = select_num_atoms(spectra[spectrum], c)
+        assert candidates == list(range(1, len(candidates) + 1))
+        # each candidate is the measure moment_method_psd returns for it
+        assert H in [moment_method_psd(spectra[spectrum], c, m) for m in candidates]
+
+    def test_selection_rejects_a_nonpositive_mean(self):
+        with pytest.raises(ValueError, match="positive mean"):
+            select_num_atoms(np.zeros(10), 0.5)
 
 
 class TestSpectrumPlumbing:

@@ -10,6 +10,7 @@ from sscm.simulation import (
     RunConfig,
     generate_sample,
     model_context,
+    model_root,
     model_shape,
     run_qq_experiment,
     run_shape_benchmark,
@@ -63,12 +64,14 @@ class TestGenerators:
 
     def test_m2_direction_fixed_across_replicates(self):
         spec = ModelSpec("M2", p=30, n=50, seed=3)
-        from sscm.simulation import model2_direction
-
-        v1 = model2_direction(3, 30)
-        v2 = model2_direction(3, 30)
-        np.testing.assert_array_equal(v1, v2)
-        assert np.linalg.norm(v1) == pytest.approx(1.0)
+        A = model_root(spec)
+        np.testing.assert_array_equal(model_root(spec), A)
+        for r in (0, 1, 4):
+            # the test's own draw of z and w on the replicate's substream, mixed by the one A
+            g = np.random.Generator(np.random.Philox(np.random.SeedSequence([3, r + 1])))
+            Z = g.standard_normal((50, 30))
+            w = np.where(g.random(50) < 0.5, 1.0, 0.2)
+            np.testing.assert_array_equal(generate_sample(spec, replicate=r).data, w[:, None] * (Z @ A))
 
     def test_contamination_count_exact(self):
         spec = ModelSpec("M4", p=20, n=100, epsilon=0.05, seed=4)
@@ -84,6 +87,15 @@ class TestGenerators:
         t = np.concatenate([np.full(5, 0.5), np.full(5, 1.5)])
         expected = g.standard_normal((100, 10)) * np.sqrt(t)
         np.testing.assert_array_equal(a, expected)
+
+    @pytest.mark.parametrize("mid, t_out", [("M4", [0.5, 1.5]), ("M5", [1.5, 0.5])])
+    def test_outlier_rows_have_sixteen_times_the_shape(self, mid, t_out):
+        # the first floor(n eps) rows are N(0, 16 T), with T's blocks swapped for M5
+        X = generate_sample(ModelSpec(mid, p=10, n=100, epsilon=0.05, seed=5)).data
+        g = np.random.Generator(np.random.Philox(np.random.SeedSequence([5, 1])))
+        expected = g.standard_normal((100, 10)) * np.sqrt(np.repeat([0.5, 1.5], 5))
+        expected[:5] = g.standard_normal((5, 10)) * np.sqrt(16.0 * np.repeat(t_out, 5))
+        np.testing.assert_array_equal(X, expected)
 
     def test_determinism_per_replicate(self):
         spec = ModelSpec("M3", p=20, n=30, seed=6)
@@ -105,12 +117,13 @@ class TestModelContext:
         assert ctx.tau == 4.2 and ctx.r_w == 1.2
 
     def test_m2_context(self):
-        # the mixing matrix is T^{1/2}, so A A' = T has trace p
-        spec = ModelSpec("M2", p=40, n=80, seed=0)
-        ctx = model_context(spec)
+        # the mixing matrix is T^{1/2} of T = (I + vv')/(1 + 1/p), v from substream 0
+        p, seed = 40, 0
+        ctx = model_context(ModelSpec("M2", p=p, n=80, seed=seed))
         assert ctx.tau == 3.0 and ctx.r_w == pytest.approx(13.0 / 9.0)
-        assert np.trace(ctx.A @ ctx.A.T) == pytest.approx(40.0)
-        np.testing.assert_allclose(ctx.A @ ctx.A.T, model_shape(spec), atol=1e-12)
+        v = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 0]))).standard_normal(p)
+        v /= np.linalg.norm(v)
+        np.testing.assert_allclose(ctx.A @ ctx.A.T, (np.eye(p) + np.outer(v, v)) / (1.0 + 1.0 / p), atol=1e-12)
 
     def test_m4_has_no_context(self):
         with pytest.raises(UnsupportedConfigError):
