@@ -144,10 +144,10 @@ def _context_from_args(args):
 
 def _cmd_clt_moments(args):
     ctx = _context_from_args(args)
+    powers = [int(k) for k in args.powers.split(",")]
     if args.method == "closed":
-        approx = beta_moments_normal(ctx)
+        approx = beta_moments_normal(ctx, powers)
     else:
-        powers = [int(k) for k in args.powers.split(",")]
         fs = [(lambda x, k=k: x**k) for k in powers]
         approx = lss_normal_approx(ctx, fs)
     _emit(json.loads(approx.to_json()), args, _manifest(args))
@@ -232,7 +232,7 @@ def build_parser():
     p.add_argument("--rw", type=float, default=1.0, help="radial weight ratio r_w")
     p.add_argument("--shape", help="diagonal shape spectrum as JSON atoms (default identity)")
     p.add_argument("--method", choices=("closed", "contour"), default="closed")
-    p.add_argument("--powers", default="2,3", help="trace powers for the contour method")
+    p.add_argument("--powers", default="2,3", help="trace powers k of the statistics tr(B^k)")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_clt_moments)
 

@@ -1,9 +1,9 @@
 """Gaussian approximation for linear spectral statistics of the sample SSCM.
 
 Mean and covariance are contour integrals of closed-form kernels around the
-limiting spectrum.  They are taken in y = -1/mu, where the inverse map
-z = x(y) of the MP law is explicit, so no node needs the Stieltjes solver
-(Bai and Silverstein 2004), by the trapezoid rule on circles, which
+limiting spectrum, taken in y = -1/mu, where the inverse map z = x(y) of the
+MP law is explicit (Bai and Silverstein 2004): for trace powers exactly, as
+residues at y = inf, and otherwise by the trapezoid rule on circles, which
 converges geometrically (Trefethen and Weideman 2014).  The population side
 is described by a ShapeContext: the mixing matrix, the sample size, the
 fourth moment of the coordinates and the radial dispersion ratio, from which
@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from math import comb
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import NumericError, UnsupportedConfigError
+from .errors import NumericError
 from .mp_law import (
     DiscreteMeasure, SpectralModel, _outer_critical_roots, _x, _x_dx, lsd_moments, solve_stieltjes_grid,
 )
@@ -92,9 +93,6 @@ class ShapeContext:
     def model(self):
         return SpectralModel(self.c_n, self.H_p)
 
-    def alpha(self, k_max=6):
-        return [self.H_p.moment(k) for k in range(1, k_max + 1)]
-
     @cached_property
     def _hadamard(self):
         return _HadamardOps(self)
@@ -147,7 +145,7 @@ class NormalApprox:
         cov = np.atleast_2d(np.asarray(self.covariance, dtype=float))
         if not np.allclose(cov, cov.T, atol=1e-10):
             raise ValueError("covariance must be symmetric")
-        if np.min(np.linalg.eigvalsh(cov)) < -1e-8:
+        if np.min(np.linalg.eigvalsh(cov)) < -1e-8 * max(1.0, np.max(np.abs(cov))):
             raise ValueError("covariance must be positive semidefinite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
@@ -390,7 +388,7 @@ def lss_normal_approx(ctx, fs):
     return NormalApprox(mean=mean.real, covariance=cov, nodes=RING_NODES, quad_error=err)
 
 
-# -- closed-form normal approximation for the second and third moments -----
+# -- trace powers: the contour integrals as residues at y = infinity -------
 
 
 def beta_centering(ctx):
@@ -398,51 +396,68 @@ def beta_centering(ctx):
     return tuple(lsd_moments(ctx.model, 3)[1:])
 
 
-def beta_moments_normal(ctx):
-    """Closed-form normal approximation for p (beta2_hat - beta2, beta3_hat - beta3).
+def beta_moments_normal(ctx, powers=(2, 3)):
+    """Normal approximation of tr(B^k) - p beta_k for each k >= 0 in `powers`, exactly.
 
-    The (tau - 3) covariance terms are available for diagonal mixing
-    matrices only.
+    These are lss_normal_approx's integrals for f = x^k, in its convention
+    (H_p, sigma and the Hadamard terms come from A itself), at any A, tau and
+    r_w.  In y = -1/mu the integrands are rational with every pole inside the
+    contour, so each is a residue at y = inf (Bai and Silverstein 2004), read
+    off power series in w = 1/y: z = phi(w)/w with phi = 1 + c sum_j alpha_j w^j,
+    x'(y) = phi - w phi', mu = -w and mu' = w^2/x', so x^k dz = w^-k phi^k x' dy.
+    1/(y1 - y2)^2 is expanded in y2/y1, and 1/(z1 - z2)^2 adds nothing.
+    Products are truncated np.convolve and quotients forward substitution.
     """
-    a1, a2, a3, a4, a5, a6 = ctx.alpha(6)
-    c = ctx.c_n
-    r = ctx.r_w
-    tau = ctx.tau
-    if tau != 3.0 and not ctx.diagonal:
-        raise UnsupportedConfigError(
-            "fourth-moment covariance terms require a diagonal mixing matrix"
-        )
-    mu2 = c**2 * (r**2 - 2 * r + 2) - c * a2
-    mu3 = (
-        3 * c**2 * (r**2 - 2 * r + 2) * a2
-        + c**3 * (r**3 - 3 * r + 4)
-        - 3 * c * (a3 + c * a2)
+    powers = list(powers)
+    if min(powers) < 0:
+        raise ValueError("trace powers must be nonnegative")
+    K, N = max(powers), 2 * max(powers) + 2  # series hold w^0 .. w^(N-1)
+    c, r, s2, dtau = ctx.c_n, ctx.r_w, ctx.trace_sigma2_over_p, ctx.tau - 3.0
+    j = np.arange(N)
+    W = np.eye(N)  # W[m] is the series w^m
+
+    def mul(*factors):
+        return reduce(lambda a, b: np.convolve(a, b)[:N], factors)
+
+    def div(a, b):  # order by order: a pivoting solve loses digits when b grows fast
+        q = np.zeros(N)
+        for m in range(N):
+            q[m] = (a[m] - b[m:0:-1] @ q[:m]) / b[0]
+        return q
+
+    def S(a, b):  # sum_k w_k t_k^a / (1 - t_k w)^b
+        return np.array([comb(m + b - 1, m) for m in j]) * alpha[a:a + N]
+
+    alpha = ctx.H_p.weights @ ctx.H_p.values[:, None] ** np.arange(N + 2)
+    phi = np.r_[1.0, c * alpha[1:N]]
+    dphi = (j + 1) * c * alpha[1:N + 1]
+    xp, one_phi = (1 - j) * phi, W[0] - phi
+    P = [mul(W[0], *[phi] * k) for k in powers]
+    # F @ g = [w^(k+1)](phi^k g), the residue of x^k against g, for each k
+    F = np.array([np.r_[Pk[k + 1::-1], np.zeros(N - k - 2)] for k, Pk in zip(powers, P)])
+    kern = (  # x' (kappa + mu1)
+        div(mul(W[2], dphi, one_phi, -(r - 2) * (r - 1) * phi - r * W[0]),
+            -mul(phi, r * W[0] - (r - 1) * phi))
+        - c * div(mul(W[3], S(2, 3)), xp)
+        - 2 * mul(W[2], one_phi, S(2, 2))
+        - 2 * c * mul(W[3], S(1, 2), s2 * S(1, 1) - S(2, 1))
     )
-    s22 = 8 * c * (a2**3 - 2 * a2 * a3 + a4) + 4 * c**2 * a2**2
-    s23 = (
-        12 * c * (a2**2 * a3 - a3**2 - a2 * a4 + a5)
-        + 12 * c**2 * (2 * a2**3 - 3 * a2 * a3 + 2 * a4)
-        + 12 * c**3 * a2**2
-    )
-    s33 = (
-        18 * c * (a2 * a3**2 - 2 * a3 * a4 + a6)
-        + 18 * c**2 * (4 * a2**2 * a3 - 3 * a3**2 - 3 * a2 * a4 + 4 * a5)
-        + 6 * c**3 * (13 * a2**3 - 12 * a2 * a3 + 12 * a4)
-        + 36 * c**4 * a2**2
-    )
-    if tau != 3.0:
-        ts22 = 4 * c * (a2**3 - 2 * a2 * a3 + a4)
-        ts23 = 6 * c * (a2**2 * a3 - a3**2 - a2 * a4 + a5) + 12 * c**2 * (
-            a2**3 - 2 * a2 * a3 + a4
+    E, X = F @ mul(W[2], dphi), F @ (xp - W[0])
+    # sum_j j [w^(a-j)] phi^a [w^(b+j)] phi^b, from 1/(y1 - y2)^2
+    U = np.arange(1, K + 1) * F[:, 2:K + 2]
+    V = np.array([Pk[k + 1:k + K + 1] for k, Pk in zip(powers, P)])
+    cov = 2 * (U @ V.T + s2 / c * np.outer(E, E) + (np.outer(X, E) + np.outer(E, X)) / c)
+    if dtau:
+        ops = ctx._hadamard
+        G1 = ops.lam[:, None] ** j  # rows 1/(1 - lam w): phi_k(y) = -w G1_k, phi_k(y)^2 = w^2 G2_k
+        G2 = (j + 1) * G1
+        h, hp = -mul(W[1], ops.d @ G1), mul(W[2], ops.d @ G2)
+        g1 = -mul(W[3], np.bincount(np.add.outer(j, j).ravel(), (G2.T @ ops.M @ G1).ravel())[:N])
+        kern += dtau * (  # x' mu2
+            c * g1 + ops.zeta_p * mul(W[2], one_phi, S(1, 2))
+            - mul(one_phi, hp) - c * mul(W[2], S(1, 2), h)
         )
-        ts33 = (
-            9 * c * (a2 * a3**2 - 2 * a3 * a4 + a6)
-            + 36 * c**2 * (a2**2 * a3 - a3**2 - a2 * a4 + a5)
-            + 36 * c**3 * (a2**3 - 2 * a2 * a3 + a4)
-        )
-        s22 += (tau - 3.0) * ts22
-        s23 += (tau - 3.0) * ts23
-        s33 += (tau - 3.0) * ts33
-    mean = np.array([mu2, mu3])
-    cov = np.array([[s22, s23], [s23, s33]])
-    return NormalApprox(mean=mean, covariance=cov)
+        R, H = F[:, 2:] @ G2[:, :N - 2].T, F @ hp  # residues of w^2 G2_k and of h_p'
+        cov += dtau * (c * R @ ops.M @ R.T + ops.zeta_p / c * np.outer(E, E)
+                       - np.outer(E, H) - np.outer(H, E))
+    return NormalApprox(mean=-F @ kern, covariance=0.5 * (cov + cov.T))

@@ -9,7 +9,6 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import NumericError, UnsupportedConfigError
-from .lss_clt import ShapeContext, beta_centering, beta_moments_normal
 from .sign_geometry import SscmMatrix
 
 
@@ -37,26 +36,27 @@ def _unwrap(B):
 def frobenius_sphericity_test(B, n, r_w, r_w_source="supplied"):
     """Squared-Frobenius sphericity statistic, standard normal under the null.
 
-    It is z_2 of the isotropic trace-power CLT, (tr(B^2) - p beta_2 - mu_2) /
-    sqrt(sigma_22), and kappa is 1 + mu_2 / c_n.  Rejects two-sided: the
-    centering can be undershot in finite samples.
+    It is z_2 of the trace-power CLT (beta_moments_normal) at H = delta_1:
+    (tr(B^2) - p beta_2 - mu_2) / sqrt(sigma_22) with c = p / n, beta_2 = 1 + c,
+    mu_2 = c^2 (r_w^2 - 2 r_w + 2) - c, sigma_22 = 4 c^2 and kappa = 1 + mu_2 / c.
+    Rejects two-sided: the centering can be undershot in finite samples.
     """
+    if r_w < 1.0 - 1e-12:
+        raise ValueError("r_w must be >= 1")
     M = _unwrap(B)
     p = M.shape[0]
-    ctx = ShapeContext.isotropic(p, n, r_w=r_w)
-    beta2, _ = beta_centering(ctx)
-    approx = beta_moments_normal(ctx)
-    mu2 = approx.mean[0]
+    c_n = p / n
+    mu2 = c_n**2 * (r_w**2 - 2.0 * r_w + 2.0) - c_n
     raw = float(np.sum(M * M))  # tr(B^2)
-    stat = (raw - p * beta2 - mu2) / np.sqrt(approx.covariance[0, 0])
+    stat = (raw - p * (1.0 + c_n) - mu2) / (2.0 * c_n)
     p_value = 2.0 * (1.0 - ndtr(abs(stat)))
     return TestReport(
         test="frobenius",
         statistic=float(stat),
         p_value=float(p_value),
         raw=raw,
-        kappa=float(1.0 + mu2 / ctx.c_n),
-        c_n=ctx.c_n,
+        kappa=float(1.0 + mu2 / c_n),
+        c_n=c_n,
         r_w_used=float(r_w),
         r_w_source=r_w_source,
     )

@@ -133,7 +133,7 @@ def test_a4_contour_appendix_agreement():
             np.max(np.abs(approx.mean - closed.mean) / np.maximum(1.0, np.abs(closed.mean))),
             np.max(np.abs(approx.covariance - closed.covariance) / np.abs(closed.covariance)),
         )
-    _report("A4", worst < 1e-3, f"max relative mismatch {worst:.2e} (< 1e-3)")
+    _report("A4", worst < 1e-11, f"max relative mismatch {worst:.2e} (< 1e-11)")
 
 
 def _size_frobenius(p, n, reps, rng, weights=None, r_w=1.0):

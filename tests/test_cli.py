@@ -120,6 +120,26 @@ class TestCltMoments:
         np.testing.assert_allclose(contour["cov"], closed["cov"], rtol=1e-8)
 
 
+    def test_closed_honours_powers(self, capsys):
+        args = ["clt-moments", "--p", "200", "--n", "100", "--tau", "4.2", "--rw", "1.2",
+                "--shape", "[[0.5,0.5],[1.5,0.5]]", "--powers", "2,3,4"]
+        results = []
+        for method in ("closed", "contour"):
+            code, out, _ = run_cli(capsys, *args, "--method", method)
+            assert code == 0
+            results.append(json.loads(out))
+        closed, contour = results
+        assert len(closed["mean"]) == 3
+        np.testing.assert_allclose(closed["mean"], contour["mean"], rtol=1e-10)
+        np.testing.assert_allclose(closed["cov"], contour["cov"], rtol=1e-10)
+
+    def test_closed_at_large_radial_ratio(self, capsys):
+        # the ring has not converged here; the series has no circle
+        args = ["clt-moments", "--p", "472", "--n", "100", "--rw", "6.66"]
+        assert run_cli(capsys, *args, "--method", "closed")[0] == 0
+        assert run_cli(capsys, *args, "--method", "contour")[0] == 2
+
+
 class TestSphericity:
     def test_wiring_matches_library(self, capsys, tmp_path):
         rng = np.random.default_rng(0)
@@ -226,6 +246,12 @@ class TestSimulate:
         assert lines[0].startswith("replicate,")
         assert len(lines) == 3
         assert "manifest" in err
+
+    def test_dense_model_at_non_gaussian_tau(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--model", "M2", "--p", "40", "--n", "80",
+                               "--reps", "3", "--seed", "1", "--tau", "4")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1 + 3
 
     def test_manifest_written(self, capsys, tmp_path):
         out = tmp_path / "q.csv"

@@ -5,10 +5,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sscm.errors import NumericError, UnsupportedConfigError
+from sscm.errors import NumericError
 from sscm.lss_clt import (
     RING_NODES,
     NormalApprox,
@@ -89,6 +89,35 @@ def mixed_partial_oracle(ctx, z1, z2, step=2e-3):
     return (4.0 * central(step / 2) - central(step)) / 3.0
 
 
+def hand_moments_tau3(ctx):
+    """Normal approximation of (tr B^2, tr B^3) at tau = 3, written out in the moments of H_p."""
+    a2, a3, a4, a5, a6 = (ctx.H_p.moment(k) for k in range(2, 7))
+    c, r = ctx.c_n, ctx.r_w
+    mu2 = c**2 * (r**2 - 2 * r + 2) - c * a2
+    mu3 = 3 * c**2 * (r**2 - 2 * r + 2) * a2 + c**3 * (r**3 - 3 * r + 4) - 3 * c * (a3 + c * a2)
+    s22 = 8 * c * (a2**3 - 2 * a2 * a3 + a4) + 4 * c**2 * a2**2
+    s23 = (
+        12 * c * (a2**2 * a3 - a3**2 - a2 * a4 + a5)
+        + 12 * c**2 * (2 * a2**3 - 3 * a2 * a3 + 2 * a4)
+        + 12 * c**3 * a2**2
+    )
+    s33 = (
+        18 * c * (a2 * a3**2 - 2 * a3 * a4 + a6)
+        + 18 * c**2 * (4 * a2**2 * a3 - 3 * a3**2 - 3 * a2 * a4 + 4 * a5)
+        + 6 * c**3 * (13 * a2**3 - 12 * a2 * a3 + 12 * a4)
+        + 36 * c**4 * a2**2
+    )
+    return np.array([mu2, mu3]), np.array([[s22, s23], [s23, s33]])
+
+
+def atom_context(values, counts, c, r_w, tau, rotation=None):
+    """Shape T with the given atoms repeated counts times, diagonal or rotated by a random orthogonal matrix."""
+    t = np.repeat(values, counts[: len(values)])
+    t *= t.size / t.sum()
+    A = np.sqrt(t) if rotation is None else random_orthogonal(t.size, rotation) * np.sqrt(t)
+    return ShapeContext.from_matrix(A, t.size / c, tau=tau, r_w=r_w)
+
+
 class TestShapeContext:
     def test_isotropic_fields(self):
         assert M1_CTX.c_n == pytest.approx(2.0)
@@ -96,7 +125,7 @@ class TestShapeContext:
 
     def test_alpha_moments(self):
         ctx = m3_ctx()
-        a = ctx.alpha(2)
+        a = [ctx.H_p.moment(k) for k in (1, 2)]
         assert a[0] == pytest.approx(1.0, abs=1e-2)
         # second moment of the corrected spectrum stays near 1.25
         assert a[1] == pytest.approx(1.25, abs=0.05)
@@ -193,14 +222,39 @@ class TestClosedForms:
         assert b2 == pytest.approx(1.0 + 2.0)
         assert b3 == pytest.approx(1.0 + 3 * 2.0 + 4.0)
 
-    def test_dense_fourth_moment_rejected(self):
+    def test_dense_fourth_moment_matches_ring(self):
         rng = np.random.default_rng(0)
         Q, _ = np.linalg.qr(rng.standard_normal((10, 10)))
         A = Q @ np.diag(rng.uniform(0.5, 1.5, 10)) @ Q.T
         A *= np.sqrt(10 / np.trace(A @ A.T))
         ctx = ShapeContext.from_matrix(A, 20, tau=4.0, r_w=1.0)
-        with pytest.raises(UnsupportedConfigError):
-            beta_moments_normal(ctx)
+        approx = beta_moments_normal(ctx)
+        ring = lss_normal_approx(ctx, [lambda x: x**2, lambda x: x**3])
+        np.testing.assert_allclose(approx.mean, ring.mean, rtol=1e-12)
+        np.testing.assert_allclose(approx.covariance, ring.covariance, rtol=1e-12)
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            beta_moments_normal(M1_CTX, (-1, 2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.lists(st.floats(0.1, 3.0), min_size=1, max_size=3, unique=True),
+        counts=st.lists(st.integers(1, 20), min_size=3, max_size=3),
+        c=st.floats(1e-2, 10.0),
+        r_w=st.floats(1.0, 30.0),
+        rotation=st.sampled_from([None, 0, 1]),
+    )
+    def test_matches_hand_formulas_at_gaussian_tau(self, values, counts, c, r_w, rotation):
+        # at r_w up to 30, where the ring's circle may not converge
+        ctx = atom_context(values, counts, c, r_w, 3.0, rotation)
+        mean, cov = hand_moments_tau3(ctx)
+        approx = beta_moments_normal(ctx)
+        a2, a3, q = ctx.H_p.moment(2), ctx.H_p.moment(3), r_w**2 - 2 * r_w + 2
+        # the sizes of the terms of mu_2 and mu_3, which can cancel
+        scale = [c**2 * q + c * a2, 3 * c**2 * q * a2 + c**3 * (r_w**3 - 3 * r_w + 4) + 3 * c * (a3 + c * a2)]
+        assert np.all(np.abs(approx.mean - mean) <= 1e-12 * np.array(scale))
+        np.testing.assert_allclose(approx.covariance, cov, rtol=1e-12)
 
 
 def two_level(low, high, p, n, tau=3.0, r_w=1.0):
@@ -327,18 +381,16 @@ class TestContourIntegrals:
         fs = [lambda x: x**2, lambda x: x**3]
         approx = lss_normal_approx(M1_CTX, fs)
         closed = beta_moments_normal(M1_CTX)
-        np.testing.assert_allclose(approx.mean, closed.mean, rtol=1e-3, atol=1e-3)
-        np.testing.assert_allclose(
-            approx.covariance, closed.covariance, rtol=1e-3
-        )
+        np.testing.assert_allclose(approx.mean, closed.mean, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(approx.covariance, closed.covariance, rtol=1e-12)
 
     def test_matches_closed_forms_model3(self):
         ctx = m3_ctx()
         fs = [lambda x: x**2, lambda x: x**3]
         approx = lss_normal_approx(ctx, fs)
         closed = beta_moments_normal(ctx)
-        np.testing.assert_allclose(approx.mean, closed.mean, rtol=1e-3)
-        np.testing.assert_allclose(approx.covariance, closed.covariance, rtol=2e-3)
+        np.testing.assert_allclose(approx.mean, closed.mean, rtol=1e-12)
+        np.testing.assert_allclose(approx.covariance, closed.covariance, rtol=1e-12)
 
     def test_matches_closed_forms_large_c(self):
         # c = 5: F has an atom at 0 and the left contour edge passes next to it
@@ -368,15 +420,16 @@ class TestContourIntegrals:
         np.testing.assert_allclose(approx.covariance, closed.covariance, rtol=1e-10)
 
     def test_wide_shape_fourth_moment_at_large_c(self):
-        # tau != 3 has no exact closed form; the reference is Gauss-Legendre on a
-        # rectangle in z with 1024 nodes per edge and the Stieltjes solver at every node
-        approx = lss_normal_approx(two_level(0.25, 1.75, 200, 40, tau=4.2), [lambda x: x**2, lambda x: x**3])
-        np.testing.assert_allclose(approx.mean, [17.226737187499815, 210.0406346874979], rtol=1e-10)
-        np.testing.assert_allclose(
-            approx.covariance,
-            [[248.6890963354051, 4993.778950589957], [4993.778950589957, 103175.9119006665]],
-            rtol=1e-10,
-        )
+        # the reference is Gauss-Legendre on a rectangle in z with 1024 nodes
+        # per edge and the Stieltjes solver at every node; both paths must match it
+        ctx = two_level(0.25, 1.75, 200, 40, tau=4.2)
+        for approx in (lss_normal_approx(ctx, [lambda x: x**2, lambda x: x**3]), beta_moments_normal(ctx)):
+            np.testing.assert_allclose(approx.mean, [17.226737187499815, 210.0406346874979], rtol=1e-10)
+            np.testing.assert_allclose(
+                approx.covariance,
+                [[248.6890963354051, 4993.778950589957], [4993.778950589957, 103175.9119006665]],
+                rtol=1e-10,
+            )
 
     @pytest.mark.parametrize("c, r_w", [(1.0, 5.0), (0.1, 10.0)])
     def test_large_radial_ratio_matches_closed_forms(self, c, r_w):
@@ -412,6 +465,30 @@ class TestContourIntegrals:
         closed = beta_moments_normal(ctx)
         np.testing.assert_allclose(approx.mean, closed.mean, rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(approx.covariance, closed.covariance, rtol=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.lists(st.floats(0.1, 3.0), min_size=1, max_size=3, unique=True),
+        counts=st.lists(st.integers(1, 20), min_size=3, max_size=3),
+        c=st.floats(1e-2, 10.0),
+        r_w=st.floats(1.0, 1.5),
+        tau=st.floats(1.0, 9.0),
+        rotation=st.sampled_from([None, 0, 1]),
+        powers=st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True),
+    )
+    def test_series_matches_ring(self, values, counts, c, r_w, tau, rotation, powers):
+        # to 1e-11 of the largest entry, plus the ring's own rounding: for x^3 and x^4
+        # at c near 10 its self-check reaches 1e-9, and its error is within 20 times that
+        try:
+            ctx = atom_context(values, counts, c, r_w, tau, rotation)
+            ring = lss_normal_approx(ctx, [lambda x, k=k: x**k for k in powers])
+        except ValueError:  # the tau correction left sigma an eigenvalue below 0
+            assume(False)
+        except NumericError:  # the ring's self-check failed
+            assume(False)
+        series = beta_moments_normal(ctx, powers)
+        for got, want in ((series.mean, ring.mean), (series.covariance, ring.covariance)):
+            assert np.max(np.abs(got - want)) <= (1e-11 + 20 * ring.quad_error) * max(1.0, np.max(np.abs(want)))
 
     def test_dense_fourth_moment_matches_diagonal(self):
         # a rotated dense mixing matrix with tau != 3 gives the same
@@ -463,3 +540,12 @@ class TestNormalApprox:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             NormalApprox(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_semidefiniteness_is_checked_at_the_scale_of_the_entries(self):
+        # an eigenvalue of -1e-3 beside 1e10 is rounding (the series CLT of x, x^2, x^4
+        # at c = 10 has one near -1.6e-7); -1e3 beside 1e10, or -1e-3 alone, is not
+        Q = random_orthogonal(2, 0)
+        NormalApprox(np.zeros(2), Q @ np.diag([1e10, -1e-3]) @ Q.T)
+        for eigs in ([1e10, -1e3], [1.0, -1e-3]):
+            with pytest.raises(ValueError, match="semidefinite"):
+                NormalApprox(np.zeros(2), Q @ np.diag(eigs) @ Q.T)

@@ -330,6 +330,14 @@ class TestMomentMethod:
         with pytest.raises(ValueError, match="positive mean"):
             select_num_atoms(np.zeros(10), 0.5)
 
+    @pytest.mark.parametrize("light, kept", [(np.nextafter(0.01, 0.0), 2), (0.01, 3)], ids=["below", "at"])
+    def test_light_atom_threshold(self, light, kept):
+        # an atom of weight below 0.01 is dropped and the rest renormalized; weight 0.01 stays
+        w = np.array([0.5, 0.5 - light, light])
+        H = shape_estimation._drop_light_atoms((np.array([0.5, 1.0, 2.0]), w))
+        np.testing.assert_array_equal(H.values, [0.5, 1.0, 2.0][:kept])
+        np.testing.assert_allclose(H.weights, w[:kept] / w[:kept].sum(), rtol=1e-15)
+
 
 class TestSpectrumPlumbing:
     def test_expand_counts(self):

@@ -4,8 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sscm.errors import NumericError, UnsupportedConfigError
+from sscm.lss_clt import ShapeContext, beta_centering, beta_moments_normal
 from sscm.sign_geometry import sscm
 from sscm.sphericity import frobenius_sphericity_test, kl_sphericity_test
 
@@ -37,6 +40,18 @@ class TestFrobenius:
         report = frobenius_sphericity_test(B, n, r_w=r_w)
         assert report.statistic == pytest.approx(expected, rel=1e-14)
         assert report.kappa == pytest.approx(kappa1, rel=1e-14)
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.integers(2, 300), n=st.integers(2, 300), r_w=st.floats(1.0, 30.0))
+    def test_null_moments_match_the_trace_power_clt(self, p, n, r_w):
+        # the closed forms are the series CLT at H = delta_1
+        ctx = ShapeContext.isotropic(p, n, r_w=r_w)
+        beta2, _ = beta_centering(ctx)
+        approx = beta_moments_normal(ctx, (2,))
+        want = (p - p * beta2 - approx.mean[0]) / np.sqrt(approx.covariance[0, 0])
+        report = frobenius_sphericity_test(np.eye(p), n, r_w)
+        assert report.statistic == pytest.approx(want, rel=1e-12)
+        assert report.kappa == pytest.approx(1.0 + approx.mean[0] / ctx.c_n, rel=1e-12)
 
     def test_rejects_radial_ratio_below_one(self):
         with pytest.raises(ValueError, match="r_w"):
