@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from sscm.errors import ConvergenceError
 from sscm.sign_geometry import (
+    DEFAULT_MEDIAN_MAX_ITER,
     DEFAULT_MEDIAN_TOL,
     SampleBatch,
+    _coordinatewise_median,
     _newton_step,
     estimate_rw,
     spatial_median,
@@ -17,6 +19,38 @@ from sscm.sign_geometry import (
     spatial_signs,
     sscm,
 )
+
+
+def dense_newton_median(X):
+    """Weiszfeld with a Newton polish solved exactly on the dense Hessian.
+
+    Once the mean sign is below 1e-4, both the Weiszfeld and the Newton point are
+    evaluated and the one of smaller residual is kept, if the objective does not
+    rise.  Returns (median, iterations); for data with no row at an iterate.
+    """
+    n, p = X.shape
+
+    def evaluate(mu):
+        diff = X - mu
+        d = np.linalg.norm(diff, axis=1)
+        assert d.min() > 1e-12
+        U = diff / d[:, None]
+        return mu, d, U, U.sum(axis=0), d.sum()
+
+    cur = evaluate(np.median(X, axis=0))
+    for iterations in range(1, DEFAULT_MEDIAN_MAX_ITER + 1):
+        mu, d, U, ssum, obj = cur
+        cand = evaluate((X / d[:, None]).sum(axis=0) / np.sum(1.0 / d))
+        if np.linalg.norm(ssum) / n < 1e-4:
+            hess = np.sum(1.0 / d) * np.eye(p) - (U / d[:, None]).T @ U
+            newton = evaluate(mu + np.linalg.solve(hess, ssum))
+            if np.linalg.norm(newton[3]) < np.linalg.norm(cand[3]):
+                cand = newton
+        if cand[4] <= obj * (1.0 + 1e-14):
+            cur = cand
+        if np.linalg.norm(cur[3]) / n <= DEFAULT_MEDIAN_TOL:
+            return cur[0], iterations
+    raise AssertionError("the reference did not converge")
 
 
 class TestSpatialSign:
@@ -90,8 +124,9 @@ class TestSpatialMedian:
         try:
             res = spatial_median(X)
         except ConvergenceError as err:
-            # the near-critical data-point case of the xfail test below: the
-            # error must still report the residual at its last iterate
+            # a near-critical data point whose certificate fails at the end (see
+            # test_near_critical_data_point_minimizer): the error must still
+            # report the residual at its last iterate
             assert err.residual == pytest.approx(residual(err.last_iterate), rel=1e-12, abs=1e-15)
             assert err.residual > DEFAULT_MEDIAN_TOL
             return
@@ -100,6 +135,7 @@ class TestSpatialMedian:
         d = np.linalg.norm(X - mu, axis=1)
         signs = spatial_signs(X - mu)
         assert res.residual_norm == pytest.approx(residual(mu), rel=1e-12, abs=1e-15)
+        assert res.hessian_products > 0 or res.newton_steps == 0
         at_point = d < 1e-12
         if at_point.any():
             # a data point of multiplicity m minimizes iff the other signs sum to <= m
@@ -115,13 +151,44 @@ class TestSpatialMedian:
             v *= 1e-6 / np.linalg.norm(v)
             assert f <= min(obj(mu + v), obj(mu - v)) * (1.0 + 1e-13)
 
-    @pytest.mark.xfail(raises=ConvergenceError, strict=True, reason=(
-        "Weiszfeld reaches a data-point minimizer of multiplicity m only linearly, at rate "
-        "||R||/m, R the sum of the other signs there; at ||R||/m near 1, 500 iterates fall short"))
     def test_near_critical_data_point_minimizer(self):
-        # three points whose Fermat point is the vertex X[1], with ||R|| = 0.9927 < m = 1
+        # three points whose Fermat point is the vertex X[1], with ||R|| = 0.9927 < m = 1:
+        # Weiszfeld nears it at rate ||R|| / m, too slowly for 500 iterates, and the
+        # certificate at the data point nearest the last iterate returns it
         X = np.random.default_rng(14).standard_normal((3, 5))
-        assert np.linalg.norm(spatial_median(X).median - X[1]) < 1e-8
+        res = spatial_median(X)
+        assert np.linalg.norm(res.median - X[1]) <= 1e-12 * np.linalg.norm(X[1])
+        assert res.iterations == DEFAULT_MEDIAN_MAX_ITER
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        p=st.integers(1, 40),
+        levels=st.integers(2, 1000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_start_is_numpy_median(self, n, p, levels, seed):
+        # odd and even n, with ties when levels is small
+        X = np.random.default_rng(seed).integers(0, levels, size=(n, p)) * 0.37 - 11.0
+        assume(not np.allclose(X, X[0]))
+        np.testing.assert_array_equal(_coordinatewise_median(X), np.median(X, axis=0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 30),
+        p=st.integers(1, 10),
+        log_spread=st.floats(-12.0, -2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rejects_exactly_what_allclose_calls_identical(self, n, p, log_spread, seed):
+        # rows spread about a common point by about the 1e-8 + 1e-5 |x| of np.allclose
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal(p) * 10.0 ** rng.uniform(-4, 4) + 10.0**log_spread * rng.standard_normal((n, p))
+        if np.allclose(X, X[0]):
+            with pytest.raises(ValueError, match="identical"):
+                spatial_median(X)
+        else:
+            _coordinatewise_median(X)
 
     @pytest.mark.parametrize("n,p", [(100, 200), (200, 50), (5, 80), (80, 5), (40, 40)])
     def test_newton_step_matches_dense_hessian_solve(self, n, p):
@@ -133,8 +200,63 @@ class TestSpatialMedian:
         r = rng.standard_normal(p)
         hess = sum((np.eye(p) - np.outer(u, u)) / dj for u, dj in zip(U, d))
         expected = np.linalg.solve(hess, r)
-        step = _newton_step(U, d, r)
+        step, products = _newton_step(U, d, r, 1e-15 * np.linalg.norm(r))
         assert np.linalg.norm(step - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert 1 <= products <= min(n, p) + 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 80),
+        p=st.integers(1, 80),
+        collinear=st.booleans(),
+        digits=st.floats(4.0, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_newton_step_reaches_its_target_or_declines(self, n, p, collinear, digits, seed):
+        rng = np.random.default_rng(seed)
+        if collinear:
+            # rows on a ray from mu: every sign is v, r = n v, and H v = 0
+            X = np.outer(rng.uniform(0.1, 2.0, n), rng.standard_normal(p))
+            mu = np.zeros(p)
+        else:
+            X = rng.standard_normal((n, p))
+            mu = np.median(X, axis=0) + 0.1 * rng.standard_normal(p)
+        diff = X - mu
+        d = np.linalg.norm(diff, axis=1)
+        U = diff / d[:, None]
+        r = U.sum(axis=0)
+        # the median asks for 1e-14 n while ||r|| / n is in (1e-10, 1e-4)
+        target = 10.0**-digits * np.linalg.norm(r)
+        step, products = _newton_step(U, d, r, target)
+        assert 1 <= products <= min(n, p) + 1
+        if p == 1 or collinear:
+            assert step is None
+        elif step is not None:
+            hess = sum((np.eye(p) - np.outer(u, u)) / dj for u, dj in zip(U, d))
+            # CG's updated residual tracks r - H step only to the rounding of
+            # forming r - H step, which no solver can go below
+            rounding = (n + p) * np.finfo(float).eps * (np.linalg.norm(r) + np.sum(1.0 / d) * np.linalg.norm(step))
+            assert np.linalg.norm(r - hess @ step) <= target + rounding
+
+    @pytest.mark.parametrize("shape", ["M1", "M3", "cell_100x50", "cell_200x100_w", "cell_50x200"])
+    def test_matches_dense_newton_on_monte_carlo_shapes(self, shape):
+        # the shapes the sphericity and QQ Monte Carlo refit a median on
+        from sscm.simulation import ModelSpec, generate_sample
+
+        rng = np.random.default_rng(20)
+        for rep in range(3):
+            if shape in ("M1", "M3"):
+                p, n = (200, 100) if shape == "M1" else (200, 200)
+                X = generate_sample(ModelSpec(shape, p=p, n=n, seed=rep)).data
+            elif shape == "cell_200x100_w":
+                X = np.array([1.0, 0.2])[rng.integers(0, 2, size=100), None] * rng.standard_normal((100, 200))
+            else:
+                X = rng.standard_normal((50, 100) if shape == "cell_100x50" else (200, 50))
+            want, want_iterations = dense_newton_median(X)
+            res = spatial_median(X)
+            assert np.linalg.norm(res.median - want) <= 1e-12 * np.linalg.norm(want)
+            assert res.iterations == want_iterations
+            assert res.newton_steps >= 1 and res.hessian_products >= res.newton_steps
 
     def test_consistency_rate(self):
         # the residual-corrected expansion: error shrinks with n (seed-averaged)

@@ -2,6 +2,7 @@
 
 import json
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,3 +117,45 @@ class TestKl:
         from scipy.stats import norm
 
         assert report.p_value == pytest.approx(1 - norm.cdf(report.statistic))
+
+
+def frobenius_report(s, p=100, n=50):
+    # B = b I has tr(B^2) = p b^2: choose b for a statistic of about s
+    c = p / n
+    raw = 2.0 * c * s + p * (1.0 + c) + c**2 - c
+    return frobenius_sphericity_test(np.sqrt(raw / p) * np.eye(p), n, r_w=1.0)
+
+
+def kl_report(b, p=50, n=200):
+    # B = b I: the statistic rises from -24.7 at b = 1 through -5 at b = 1.54
+    # and 5 at b = 1.684 to 36.7 at b = 2.06
+    return kl_sphericity_test(b * np.eye(p), n, r_w=1.0)
+
+
+class TestPValues:
+    """Both p-values are normal tails of the reported statistic, free of 1 - Phi cancellation."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(s=st.floats(-5.0, 5.0), b=st.floats(1.54, 1.684))
+    def test_match_ndtr_in_the_body(self, s, b):
+        from scipy.special import ndtr
+
+        frob = frobenius_report(s)
+        assert abs(frob.p_value - 2.0 * ndtr(-abs(frob.statistic))) <= 1e-15
+        kl = kl_report(b)
+        assert abs(kl.statistic) <= 5.0
+        assert abs(kl.p_value - ndtr(-kl.statistic)) <= 1e-15
+
+    @settings(max_examples=200, deadline=None)
+    @given(s=st.floats(-37.0, 37.0), b=st.floats(1.0, 2.06))
+    def test_match_mpmath_in_the_tail(self, s, b):
+        with mpmath.workdps(50):
+            tail = lambda x: mpmath.erfc(mpmath.mpf(x) / mpmath.sqrt(2)) / 2
+            frob = frobenius_report(s)
+            assert abs(frob.statistic) <= 37.5
+            want = 2 * tail(abs(frob.statistic))
+            assert abs(frob.p_value - want) <= 1e-14 * want
+            kl = kl_report(b)
+            want = tail(kl.statistic)
+            assert abs(kl.p_value - want) <= 1e-14 * want
+
