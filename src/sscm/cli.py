@@ -1,18 +1,22 @@
 """Command-line interface exposing the library as subcommands.
 
 Exit codes: 0 on success, 1 on a usage error, 2 on a numeric or convergence
-failure.  Diagnostics go to standard error; results go to standard output or
-to the file named by --output.  Every run emits a manifest with the resolved
-configuration: next to the output file when one is written, otherwise on
-standard error.
+failure.  Diagnostics go to standard error; results (JSON, or CSV for
+simulate) go to standard output or to the file named by --output.  This
+module is the only one that formats or writes results.  Every run emits one
+manifest schema, {command, config, versions} plus the experiment spec for
+simulate: next to the output file as <output>.manifest.json when one is
+written, otherwise on standard error as {"manifest": ...}.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 import numpy as np
+import scipy
 
 from .errors import ConvergenceError, NumericError, SscmError, UnsupportedConfigError
 from .lss_clt import ShapeContext, beta_moments_normal, lss_normal_approx
@@ -25,16 +29,7 @@ from .mp_law import (
 )
 from .shape_estimation import estimate_shape
 from .sign_geometry import SampleBatch, estimate_rw, sscm
-from .simulation import (
-    BENCHMARK_CSV,
-    MODEL_IDS,
-    QQ_CSV,
-    ModelSpec,
-    RunConfig,
-    run_qq_experiment,
-    run_shape_benchmark,
-    write_csv,
-)
+from .simulation import MODEL_IDS, ModelSpec, RunConfig, run_qq_experiment, run_shape_benchmark
 from .sphericity import frobenius_sphericity_test, kl_sphericity_test
 
 
@@ -82,27 +77,43 @@ def _resolve_seed(args):
     return 0
 
 
-def _emit(payload, args, manifest):
-    text = json.dumps(payload, indent=2) + "\n"
-    output = getattr(args, "output", None)
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-        with open(output + ".manifest.json", "w") as fh:
+# (header, row format) of the CSV output of each simulate experiment
+QQ_CSV = ("replicate,beta2_hat,beta3_hat,z2_normalized,z3_normalized", "%d,%.17g,%.17g,%.17g,%.17g")
+BENCHMARK_CSV = ("model,epsilon,p,estimator,mean_frobenius_distance,failures", "%s,%.17g,%d,%d,%.17g,%d")
+
+
+def _json(payload):
+    """Writer of a JSON result."""
+    return lambda fh: fh.write(json.dumps(payload, indent=2) + "\n")
+
+
+def _csv(layout, rows):
+    """Writer of an experiment's rows in its CSV layout."""
+    header, row = layout
+    return lambda fh: fh.writelines([header + "\n"] + [row % values + "\n" for values in rows])
+
+
+def _emit(write, args, manifest):
+    """Run write(fh) on the --output file, with the manifest beside it, or on
+    standard output, with the manifest on standard error."""
+    if args.output:
+        with open(args.output, "w") as fh:
+            write(fh)
+        with open(args.output + ".manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2)
             fh.write("\n")
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
         print(json.dumps({"manifest": manifest}), file=sys.stderr)
 
 
-def _manifest(args):
-    skip = {"func"}
+def _manifest(args, **extra):
+    """The subcommand, its resolved arguments and the library versions, plus `extra`."""
     return {
         "command": args.subcommand,
-        "config": {
-            k: v for k, v in sorted(vars(args).items()) if k not in skip
-        },
+        "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
+        "versions": {"python": sys.version.split()[0], "numpy": np.__version__, "scipy": scipy.__version__},
+        **extra,
     }
 
 
@@ -128,7 +139,7 @@ def _cmd_mp_solve(args):
         extra["moments"] = lsd_moments(model, args.moments)
     if extra:
         payload = {"stieltjes": payload, **extra}
-    _emit(payload, args, _manifest(args))
+    _emit(_json(payload), args, _manifest(args))
     return 0
 
 
@@ -150,7 +161,9 @@ def _cmd_clt_moments(args):
     else:
         fs = [(lambda x, k=k: x**k) for k in powers]
         approx = lss_normal_approx(ctx, fs)
-    _emit(json.loads(approx.to_json()), args, _manifest(args))
+    payload = {"mean": approx.mean.tolist(), "cov": approx.covariance.tolist(),
+               "nodes": approx.nodes, "quad_error": approx.quad_error}
+    _emit(_json(payload), args, _manifest(args))
     return 0
 
 
@@ -171,7 +184,7 @@ def _cmd_sphericity(args):
         report = frobenius_sphericity_test(result, n, r_w, r_w_source=source)
     else:
         report = kl_sphericity_test(result, n, r_w, r_w_source=source)
-    _emit(json.loads(report.to_json()), args, _manifest(args))
+    _emit(_json(dataclasses.asdict(report)), args, _manifest(args))
     return 0
 
 
@@ -189,26 +202,30 @@ def _cmd_shape_estimate(args):
     if args.matrix_output:
         np.savetxt(args.matrix_output, report.T_hat, delimiter=",", fmt="%.17g")
         payload["matrix_path"] = args.matrix_output
-    _emit(payload, args, _manifest(args))
+    _emit(_json(payload), args, _manifest(args))
     return 0
 
 
 def _cmd_simulate(args):
     args.seed = _resolve_seed(args)
-    cfg = RunConfig(args.reps, workers=args.workers, output_path=args.output)
+    cfg = RunConfig(args.reps, workers=args.workers)
     if args.model in ("M1", "M2", "M3"):
-        spec = ModelSpec(args.model, p=args.p, n=args.n, seed=args.seed)
-        rows, layout = run_qq_experiment(spec, cfg, tau=args.tau), QQ_CSV
+        model = ModelSpec(args.model, p=args.p, n=args.n, seed=args.seed)
+        rows, layout = run_qq_experiment(model, cfg, tau=args.tau), QQ_CSV
+        spec = dataclasses.asdict(model)
     else:
-        eps = [float(e) for e in args.epsilon.split(",")]
-        p_grid = tuple(int(p) for p in args.p_grid.split(","))
+        spec = {
+            "models": [args.model],
+            "epsilons": [float(e) for e in args.epsilon.split(",")],
+            "p_grid": [int(p) for p in args.p_grid.split(",")],
+            "n": args.n or 100,
+            "seed": args.seed,
+        }
         rows = run_shape_benchmark(
-            (args.model,), eps, cfg, p_grid=p_grid, n=args.n or 100, seed=args.seed
+            spec["models"], spec["epsilons"], cfg, p_grid=spec["p_grid"], n=spec["n"], seed=args.seed
         )
         layout = BENCHMARK_CSV
-    if args.output is None:
-        write_csv(sys.stdout, layout, rows)
-        print(json.dumps({"manifest": _manifest(args)}), file=sys.stderr)
+    _emit(_csv(layout, rows), args, _manifest(args, spec=spec))
     return 0
 
 

@@ -12,7 +12,6 @@ it derives the population spectral distribution and the trace summaries.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import comb
@@ -149,10 +148,6 @@ class NormalApprox:
             raise ValueError("covariance must be positive semidefinite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
-
-    def to_json(self):
-        return json.dumps({"mean": self.mean.tolist(), "cov": self.covariance.tolist(),
-                           "nodes": self.nodes, "quad_error": self.quad_error})
 
 
 # -- Hadamard-trace quantities ----------------------------------------------

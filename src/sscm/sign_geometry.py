@@ -246,7 +246,6 @@ def sscm(X, center="estimate"):
     if n_eff == 0:
         raise ValueError("all rows coincide with the centering point")
     B = (p / n_eff) * (point.signs.T @ point.signs)
-    B = 0.5 * (B + B.T)
     return SscmMatrix(
         matrix=B,
         centered_by=centered_by,
@@ -259,14 +258,16 @@ def estimate_rw(X, mu):
     """Plug-in estimate of E(w^-2)/E^2(w^-1) from centered norms.
 
     Relies on ||A z||^2 / p -> 1, so sqrt(p)/||x_j - mu|| estimates 1/w_j.
-    Always >= 1 by Cauchy-Schwarz.
+    Always >= 1 by Cauchy-Schwarz.  Rows at mu carry no sign and are dropped,
+    as in sscm; ValueError if every row is at mu.
     """
     if isinstance(X, SampleBatch):
         X = X.data
     X = np.asarray(X, dtype=float)
     mu = np.asarray(mu, dtype=float)
     d = np.linalg.norm(X - mu, axis=1)
-    if np.any(d == 0.0):
-        raise ValueError("degenerate observation coincides with the center")
+    d = d[d != 0.0]
+    if d.size == 0:
+        raise ValueError("all rows coincide with the center")
     inv = np.sqrt(X.shape[1]) / d
     return float(np.mean(inv**2) / np.mean(inv) ** 2)

@@ -7,7 +7,8 @@ mixtures with a fixed number of large-amplitude outliers per sample.
 
 The QQ experiment records the normalized trace-power statistics of the
 spatial-sign covariance matrix per replicate; the shape benchmark averages
-Frobenius distances of the six shape estimators over replications.
+Frobenius distances of the six shape estimators over replications.  Both
+return their result rows; the command line formats and writes them.
 
 All randomness flows through a counter-based generator (Philox) keyed by
 (seed, stream), so results are independent of worker count and replicate
@@ -15,9 +16,7 @@ scheduling.
 """
 
 import dataclasses
-import json
 import math
-import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -68,17 +67,13 @@ class ModelSpec:
         if self.id in ("M3", "M4", "M5") and self.p % 2:
             raise ValueError(f"model {self.id} requires even p")
 
-    def to_dict(self):
-        return dataclasses.asdict(self)
-
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """Replication count, parallelism, and output location for a run."""
+    """Replication count and parallelism of a run."""
 
     replications: int
     workers: int = 1
-    output_path: str = None
 
     def __post_init__(self):
         if self.replications < 1:
@@ -154,39 +149,6 @@ def model_context(spec):
     return ShapeContext.from_matrix(model_root(spec), spec.n, *_CLT_TAU_RW[spec.id])
 
 
-# (header, row format) of the CSV output of each experiment
-QQ_CSV = ("replicate,beta2_hat,beta3_hat,z2_normalized,z3_normalized", "%d,%.17g,%.17g,%.17g,%.17g")
-BENCHMARK_CSV = ("model,epsilon,p,estimator,mean_frobenius_distance,failures", "%s,%.17g,%d,%d,%.17g,%d")
-
-
-def write_csv(fh, layout, rows):
-    """Write an experiment's rows to an open text stream in its CSV layout."""
-    header, row = layout
-    fh.write(header + "\n")
-    for values in rows:
-        fh.write(row % values + "\n")
-
-
-def _save(cfg, layout, rows, spec_info, extra):
-    import scipy
-
-    with open(cfg.output_path, "w") as fh:
-        write_csv(fh, layout, rows)
-    manifest = {
-        "spec": spec_info,
-        "config": {"replications": cfg.replications, "workers": cfg.workers},
-        "versions": {
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        },
-        **extra,
-    }
-    with open(str(cfg.output_path) + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-
-
 def _qq_replicate(args):
     spec, r = args
     X = generate_sample(spec, replicate=r)
@@ -201,10 +163,10 @@ def _qq_replicate(args):
 def run_qq_experiment(spec, cfg, tau=None):
     """Normalized trace-power statistics of the SSCM, one row per replicate.
 
-    Returns the result rows; when cfg.output_path is set, also writes them
-    as CSV together with a JSON manifest.  `tau` overrides the model's
-    fourth moment in the normalization (used to probe its effect); the
-    population sign covariance and its spectrum follow at that tau.
+    Returns rows (replicate, beta2_hat, beta3_hat, z2, z3), sorted by
+    replicate.  `tau` overrides the model's fourth moment in the normalization
+    (used to probe its effect); the population sign covariance and its
+    spectrum follow at that tau.
     """
     if spec.id not in ("M1", "M2", "M3"):
         raise UnsupportedConfigError("QQ experiment covers models M1-M3 only")
@@ -230,9 +192,6 @@ def run_qq_experiment(spec, cfg, tau=None):
         z2 = (p * (b2 - beta2) - mu[0]) / sd[0]
         z3 = (p * (b3 - beta3) - mu[1]) / sd[1]
         rows.append((r, b2, b3, z2, z3))
-
-    if cfg.output_path is not None:
-        _save(cfg, QQ_CSV, rows, spec.to_dict(), {"experiment": "qq", "tau_override": tau})
     return rows
 
 
@@ -280,15 +239,4 @@ def run_shape_benchmark(model_ids, epsilons, cfg, p_grid=P_GRID_DEFAULT, n=100, 
             per_cell = list(ex.map(_benchmark_cell, cells))
     else:
         per_cell = [_benchmark_cell(c) for c in cells]
-    rows = [row for cell in per_cell for row in cell]
-
-    if cfg.output_path is not None:
-        spec_info = {
-            "models": list(model_ids),
-            "epsilons": list(epsilons),
-            "p_grid": list(p_grid),
-            "n": n,
-            "seed": seed,
-        }
-        _save(cfg, BENCHMARK_CSV, rows, spec_info, {"experiment": "shape-benchmark"})
-    return rows
+    return [row for cell in per_cell for row in cell]

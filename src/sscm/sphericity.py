@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -23,9 +22,6 @@ class TestReport:
     c_n: float
     r_w_used: float
     r_w_source: str
-
-    def to_json(self):
-        return json.dumps(asdict(self))
 
 
 def _normal_sf(s):

@@ -1,13 +1,17 @@
 """End-to-end tests for the command-line interface."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from sscm.cli import format_complex, main, parse_complex
+from sscm.lss_clt import ShapeContext, beta_moments_normal, lss_normal_approx
 from sscm.mp_law import DiscreteMeasure, SpectralModel, solve_stieltjes
-from sscm.sign_geometry import SampleBatch
+from sscm.sign_geometry import SampleBatch, estimate_rw, sscm
+from sscm.simulation import ModelSpec
+from sscm.sphericity import frobenius_sphericity_test, kl_sphericity_test
 
 
 def run_cli(capsys, *argv):
@@ -108,6 +112,18 @@ class TestCltMoments:
         assert data["mean"][0] == pytest.approx(2.0, rel=1e-3)
         assert data["nodes"] == 128 and data["quad_error"] < 1e-9
 
+    @pytest.mark.parametrize("method", ["closed", "contour"])
+    def test_json_matches_library(self, capsys, method):
+        code, out, _ = run_cli(capsys, "clt-moments", "--p", "100", "--n", "50", "--method", method)
+        assert code == 0
+        ctx = ShapeContext.isotropic(100, 50, tau=3.0, r_w=1.0)
+        if method == "closed":
+            approx = beta_moments_normal(ctx, [2, 3])
+        else:
+            approx = lss_normal_approx(ctx, [lambda x: x**2, lambda x: x**3])
+        assert json.loads(out) == {"mean": approx.mean.tolist(), "cov": approx.covariance.tolist(),
+                                   "nodes": approx.nodes, "quad_error": approx.quad_error}
+
     def test_contour_matches_closed_large_c(self, capsys):
         args = ["clt-moments", "--p", "200", "--n", "40", "--shape", "[[0.5,0.5],[1.5,0.5]]"]
         results = []
@@ -152,11 +168,32 @@ class TestSphericity:
         )
         assert code == 0
         data = json.loads(out)
-        from sscm.sign_geometry import sscm
-        from sscm.sphericity import frobenius_sphericity_test
-
         ref = frobenius_sphericity_test(sscm(X, center=np.zeros(30)), 60, 1.0)
         assert data["statistic"] == pytest.approx(ref.statistic)
+
+    @pytest.mark.parametrize("name,test", [("frobenius", frobenius_sphericity_test), ("kl", kl_sphericity_test)],
+                             ids=["frobenius", "kl"])
+    def test_report_json(self, capsys, tmp_path, name, test):
+        X = np.random.default_rng(2).standard_normal((60, 30))
+        path = tmp_path / "x.csv"
+        SampleBatch(X).to_csv(path)
+        code, out, _ = run_cli(capsys, "sphericity", "--input", str(path), "--test", name,
+                               "--rw", "1.2", "--center", "zero")
+        assert code == 0
+        assert json.loads(out) == dataclasses.asdict(test(sscm(X, center=np.zeros(30)), 60, 1.2))
+
+    def test_data_point_median(self, capsys, tmp_path):
+        # the spatial median is the data point at the origin, of multiplicity 3:
+        # its rows carry no sign, and r_w is estimated from the other three
+        X = np.random.default_rng(1).standard_normal((6, 2))
+        X[:3] = 0.0
+        path = tmp_path / "x.csv"
+        SampleBatch(X).to_csv(path)
+        code, out, _ = run_cli(capsys, "sphericity", "--input", str(path), "--test", "frobenius")
+        assert code == 0
+        data = json.loads(out)
+        assert data["r_w_source"] == "estimated"
+        assert data["r_w_used"] == estimate_rw(X[3:], np.zeros(2))
 
     def test_missing_file(self, capsys):
         code, _, _ = run_cli(capsys, "sphericity", "--input", "/no/such.csv",
@@ -236,6 +273,22 @@ class TestSimulate:
         assert run_cli(capsys, *common, "--output", str(path))[0] == 0
         assert out == path.read_text()
 
+    @pytest.mark.parametrize("argv", [
+        ("--model", "M3", "--p", "20", "--n", "20", "--tau", "4"),
+        ("--model", "M5", "--epsilon", "0,0.01", "--p-grid", "20,40"),
+    ], ids=["qq", "benchmark"])
+    def test_stderr_manifest_matches_output_manifest(self, capsys, tmp_path, argv):
+        common = ("simulate", "--reps", "1", "--seed", "3") + argv
+        code, _, err = run_cli(capsys, *common)
+        assert code == 0
+        path = tmp_path / "s.csv"
+        assert run_cli(capsys, *common, "--output", str(path))[0] == 0
+        on_stderr = json.loads(err)["manifest"]
+        written = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+        assert on_stderr["config"].pop("output") is None
+        assert written["config"].pop("output") == str(path)
+        assert on_stderr == written
+
     def test_stdout_csv(self, capsys):
         code, out, err = run_cli(
             capsys, "simulate", "--model", "M1", "--reps", "2",
@@ -243,7 +296,7 @@ class TestSimulate:
         )
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0].startswith("replicate,")
+        assert lines[0] == "replicate,beta2_hat,beta3_hat,z2_normalized,z3_normalized"
         assert len(lines) == 3
         assert "manifest" in err
 
@@ -255,8 +308,18 @@ class TestSimulate:
 
     def test_manifest_written(self, capsys, tmp_path):
         out = tmp_path / "q.csv"
-        run_cli(capsys, "simulate", "--model", "M1", "--reps", "2",
-                "--seed", "1", "--p", "20", "--n", "40", "--output", str(out))
+        assert run_cli(capsys, "simulate", "--model", "M1", "--reps", "2",
+                       "--seed", "1", "--n", "40", "--output", str(out))[0] == 0
         manifest = json.loads((tmp_path / "q.csv.manifest.json").read_text())
-        assert manifest["spec"]["id"] == "M1"
-        assert manifest["config"]["replications"] == 2
+        assert manifest["command"] == "simulate"
+        assert manifest["spec"] == dataclasses.asdict(ModelSpec("M1", n=40, seed=1))
+        assert manifest["spec"]["p"] == 400  # resolved from the model's default
+        assert (manifest["config"]["reps"], manifest["config"]["p"]) == (2, None)
+        assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
+
+        out = tmp_path / "b.csv"
+        assert run_cli(capsys, "simulate", "--model", "M4", "--reps", "1", "--seed", "9",
+                       "--epsilon", "0.01", "--p-grid", "20,40", "--output", str(out))[0] == 0
+        manifest = json.loads((tmp_path / "b.csv.manifest.json").read_text())
+        assert manifest["spec"] == {"models": ["M4"], "epsilons": [0.01], "p_grid": [20, 40], "n": 100, "seed": 9}
+        assert out.read_text().splitlines()[0] == "model,epsilon,p,estimator,mean_frobenius_distance,failures"

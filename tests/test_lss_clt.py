@@ -1,7 +1,6 @@
 """Tests for the CLT mean/covariance kernels and the contour integrals."""
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -526,13 +525,6 @@ class TestContourIntegrals:
 
 
 class TestNormalApprox:
-    def test_json(self):
-        approx = NormalApprox(np.array([1.0, 2.0]), np.array([[2.0, 0.5], [0.5, 1.0]]))
-        data = json.loads(approx.to_json())
-        assert data["mean"] == [1.0, 2.0]
-        assert data["cov"][0] == [2.0, 0.5]
-        assert data["nodes"] == 0 and data["quad_error"] == 0.0
-
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             NormalApprox(np.zeros(2), np.array([[1.0, 0.2], [0.3, 1.0]]))

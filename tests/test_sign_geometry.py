@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from sscm import sign_geometry
 from sscm.errors import ConvergenceError
 from sscm.sign_geometry import (
     DEFAULT_MEDIAN_MAX_ITER,
@@ -159,6 +160,17 @@ class TestSpatialMedian:
         res = spatial_median(X)
         assert np.linalg.norm(res.median - X[1]) <= 1e-12 * np.linalg.norm(X[1])
         assert res.iterations == DEFAULT_MEDIAN_MAX_ITER
+
+    def test_end_certificate_bound_is_the_multiplicity(self, monkeypatch):
+        # after one iterate, the data point nearest it has multiplicity m = 1 and
+        # the other signs sum to m < ||R|| < m + 1 there: it is no minimizer
+        monkeypatch.setattr(sign_geometry, "DEFAULT_MEDIAN_MAX_ITER", 1)
+        X = np.random.default_rng(5).standard_normal((7, 2))
+        with pytest.raises(ConvergenceError) as info:
+            spatial_median(X)
+        j = np.argmin(np.linalg.norm(X - info.value.last_iterate, axis=1))
+        R = spatial_signs(np.delete(X, j, axis=0) - X[j]).sum(axis=0)
+        assert 1.0 < np.linalg.norm(R) < 2.0
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -324,6 +336,15 @@ class TestSscm:
         assert result.degenerate_rows == degenerate
         np.testing.assert_allclose(result.matrix, (p / (n - degenerate)) * S.T @ S, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("n,p", [(100, 200), (200, 200), (50, 100), (200, 50), (2, 1), (2, 6), (7, 1), (3, 2)])
+    def test_matrix_is_exactly_symmetric(self, n, p):
+        # the mc_signs shapes and small edge shapes, under both centerings
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            X = rng.exponential(1.0, size=n)[:, None] * rng.standard_normal((n, p))
+            for B in (sscm(X).matrix, sscm(X, center=np.zeros(p)).matrix):
+                assert np.array_equal(B, B.T)
+
     def test_degenerate_rows_dropped(self):
         X = np.vstack([np.eye(3), np.zeros((1, 3))])
         result = sscm(X, center=np.zeros(3))
@@ -368,3 +389,13 @@ class TestEstimateRw:
 
         X = generate_sample(ModelSpec("M3", p=400, n=400, seed=11)).data
         assert abs(estimate_rw(X, np.zeros(400)) - 1.2) < 0.1
+
+    def test_rows_at_the_center_dropped(self):
+        # the spatial median is the data point at the origin, of multiplicity 3
+        X = np.random.default_rng(1).standard_normal((6, 2))
+        X[:3] = 0.0
+        mu = spatial_median(X).median
+        assert sscm(X).degenerate_rows == 3
+        assert estimate_rw(X, mu) == estimate_rw(X[3:], mu)
+        with pytest.raises(ValueError, match="all rows"):
+            estimate_rw(X[:3], mu)

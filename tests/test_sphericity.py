@@ -1,7 +1,5 @@
 """Tests for the two robust sphericity tests."""
 
-import json
-
 import mpmath
 import numpy as np
 import pytest
@@ -78,12 +76,6 @@ class TestFrobenius:
                 frobenius_sphericity_test(sscm(Xa, center=np.zeros(100)), 100, 1.0).statistic
             )
         assert np.mean(stats_alt) > np.mean(stats_null) + 5
-
-    def test_report_json(self):
-        report = frobenius_sphericity_test(null_sscm(20, 40, 2), 40, r_w=1.0)
-        data = json.loads(report.to_json())
-        assert data["test"] == "frobenius"
-        assert set(data) >= {"statistic", "p_value", "kappa", "c_n"}
 
 
 class TestKl:
