@@ -16,7 +16,6 @@ import os
 import sys
 
 import numpy as np
-import scipy
 
 from .errors import ConvergenceError, NumericError, SscmError, UnsupportedConfigError
 from .lss_clt import ShapeContext, beta_moments_normal, lss_normal_approx
@@ -111,8 +110,8 @@ def _manifest(args, **extra):
     """The subcommand, its resolved arguments and the library versions, plus `extra`."""
     return {
         "command": args.subcommand,
-        "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
-        "versions": {"python": sys.version.split()[0], "numpy": np.__version__, "scipy": scipy.__version__},
+        "config": {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "subcommand")},
+        "versions": {"python": sys.version.split()[0], "numpy": np.__version__},
         **extra,
     }
 

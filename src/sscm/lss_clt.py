@@ -17,11 +17,10 @@ from functools import cached_property, reduce
 from math import comb
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NumericError
 from .mp_law import (
-    DiscreteMeasure, SpectralModel, _outer_critical_roots, _x, _x_dx, lsd_moments, solve_stieltjes_grid,
+    DiscreteMeasure, SpectralModel, _outer_critical_roots, _root, _x_dx, lsd_moments, solve_stieltjes_grid,
 )
 
 
@@ -317,8 +316,8 @@ def _ring(ctx, scales):
     sr = values[-1] * (1.0 + np.sqrt(c)) ** 2
     z_lo, z_hi, shift = sl - 0.25 * (sr - sl), sr + 0.25 * (sr - sl), c * ctx.H_p.moment(1)
     lo, hi = _outer_critical_roots(*atoms)
-    lo = brentq(lambda y: _x(y, *atoms) - z_lo, z_lo - shift, lo)
-    hi = brentq(lambda y: _x(y, *atoms) - z_hi, hi, z_hi - shift)
+    lo = _root(lambda y: np.subtract(_x_dx(y, *atoms), (z_lo, 0.0)), z_lo - shift, lo)
+    hi = _root(lambda y: np.subtract(_x_dx(y, *atoms), (z_hi, 0.0)), hi, z_hi - shift)
     hi = max(hi, values[-1] + 2.0 * shift * (ctx.r_w - 1.0))
     e = np.exp(2j * np.pi * (np.arange(RING_NODES) + 0.5) / RING_NODES)
     out = []

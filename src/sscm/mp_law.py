@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError
 
@@ -212,7 +211,7 @@ def solve_stieltjes_grid(model, zs):
             raise ValueError("the companion transform has a pole at z = 0")
     y = _solve(model, zq, False)
     mu = -1.0 / y
-    mup = 1.0 / (y**2 * _dx(y, c, t, w))
+    mup = 1.0 / (y**2 * _x_dx(y, c, t, w)[1])
     m = -np.sum(w * y[:, None] / (y[:, None] - t), axis=-1) / zq
     # the physical branch has Im mu > 0 above the real axis and mu increasing on it
     if np.any(np.where(real_mask, mup.real <= 0, mu.imag <= 0)):
@@ -263,14 +262,39 @@ def _x_dx(y, c, t, w):
     return y * (1.0 + c * (q @ w)), 1.0 - c * ((q * q) @ w)
 
 
-def _x(y, c, t, w):
-    """x(y) alone, for root finding in y."""
-    return _x_dx(y, c, t, w)[0]
+def _derivatives(y, c, t, w):
+    """x'(y) = 1 - c sum w t^2 / (y - t)^2, x''(y) and x'''(y) at real y."""
+    d = y - t
+    q = (t / d) ** 2
+    return 1.0 - c * (q @ w), 2.0 * c * ((q / d) @ w), -6.0 * c * ((q / d / d) @ w)
 
 
-def _dx(y, c, t, w):
-    """x'(y) alone, for root finding in y."""
-    return _x_dx(y, c, t, w)[1]
+def _root(f, lo, hi):
+    """The root of a monotone f that changes sign on [lo, hi]; f(y) returns f and f' at y.
+
+    Newton from the midpoint, where the sign of f' says which way f runs,
+    bisecting whenever a step leaves the bracket or fails to halve the step
+    before the last (Brent 1973).  A step is at least 2 eps |y|, so once
+    Newton has converged the next point lands across the root, or, where
+    rounding blurs the sign of f, the one after.  It stops when the bracket
+    is within 4 eps relative, or at f = 0, and not on the step: next to a
+    pole of f the Newton step is tiny while the root is still far.
+    """
+    y = 0.5 * (lo + hi)
+    v, d = f(y)
+    rising, step, older = d > 0.0, hi - lo, hi - lo
+    for _ in range(100):
+        if v == 0.0:
+            return y
+        lo, hi = (lo, y) if (v > 0.0) == rising else (y, hi)
+        if hi - lo <= 4.0 * _EPS * max(abs(lo), abs(hi)):
+            break
+        newton = np.copysign(max(abs(v / d), 2.0 * _EPS * abs(y)), v / d)
+        ok = lo <= y - newton <= hi and 2.0 * abs(newton) <= abs(older)
+        older, step = step, newton if ok else y - 0.5 * (lo + hi)
+        y -= step
+        v, d = f(y)
+    return 0.5 * (lo + hi)
 
 
 def _outer_critical_roots(c, t, w):
@@ -281,8 +305,8 @@ def _outer_critical_roots(c, t, w):
     """
     reach = 2.0 * np.sqrt(c * np.sum(w * t**2))
     return (
-        brentq(_dx, t[0] - reach, np.nextafter(t[0], -np.inf), args=(c, t, w)),
-        brentq(_dx, np.nextafter(t[-1], np.inf), t[-1] + reach, args=(c, t, w)),
+        _root(lambda y: _derivatives(y, c, t, w)[:2], t[0] - reach, np.nextafter(t[0], -np.inf)),
+        _root(lambda y: _derivatives(y, c, t, w)[:2], np.nextafter(t[-1], np.inf), t[-1] + reach),
     )
 
 
@@ -304,20 +328,17 @@ def lsd_support(model):
     if t.size == 0:
         return []  # H = delta_0: F = delta_0 has no continuous part
 
-    def d2x(y):
-        return np.sum(w * t**2 / (y - t) ** 3)
-
     atoms = (c, t, w)
     roots = list(_outer_critical_roots(*atoms))
     for a, b in zip(t[:-1], t[1:]):
         # nextafter, not a + (b - a) * tiny, which rounds to a for near-equal atoms
         lo, hi = np.nextafter(a, b), np.nextafter(b, a)
         # x'' changes sign inside (lo, hi) unless the atoms sit a few ulps apart
-        if lo < hi and d2x(lo) > 0.0 > d2x(hi):
-            peak = brentq(d2x, lo, hi)
-            if _dx(peak, *atoms) > 0.0:
-                roots += [brentq(_dx, lo, peak, args=atoms), brentq(_dx, peak, hi, args=atoms)]
-    edges = sorted(max(0.0, float(_x(y, *atoms))) for y in roots)  # x(root) ~ -1e-25 when c = 1
+        if lo < hi and _derivatives(lo, *atoms)[1] > 0.0 > _derivatives(hi, *atoms)[1]:
+            peak = _root(lambda y: _derivatives(y, *atoms)[1:], lo, hi)
+            if _derivatives(peak, *atoms)[0] > 0.0:
+                roots += [_root(lambda y: _derivatives(y, *atoms)[:2], *ends) for ends in ((lo, peak), (peak, hi))]
+    edges = sorted(max(0.0, float(_x_dx(y, *atoms)[0])) for y in roots)  # x(root) ~ -1e-25 when c = 1
     return list(zip(edges[::2], edges[1::2]))
 
 

@@ -7,11 +7,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, NumericError, UnsupportedConfigError
-from .lss_clt import shape_to_sigma_eigs  # noqa: F401  (re-exported)
-from .mp_law import DiscreteMeasure, SpectralModel, _population_moments, lsd_moments
+from .mp_law import DiscreteMeasure, SpectralModel, _population_moments, _root, lsd_moments
 from .sign_geometry import SampleBatch, sscm
 
 TYLER_TOL = 1e-11  # relative change at which Tyler's sweeps stop
@@ -231,16 +229,18 @@ def sigma_to_shape_eigs(sigma_eigs, tau):
         b = 1.0 + k * alpha2
         return 2.0 * sig / (b + np.sqrt(np.maximum(b * b - 4.0 * k * sig, 0.0)))
 
-    def excess(alpha2):
-        return float(np.mean(shape(alpha2) ** 2)) - alpha2
+    def excess(alpha2):  # and its derivative, as k t^2 - b t + sigma = 0 gives dt/dalpha2 = k t / (2 k t - b)
+        t = shape(alpha2)
+        slope = 2.0 * k * t**2 / (2.0 * k * t - (1.0 + k * alpha2))
+        return float(np.mean(t**2)) - alpha2, float(np.mean(slope)) - 1.0
 
     # below lo the discriminant of the largest sigma is negative
     top = k * float(sig.max())
     lo = (2.0 * np.sqrt(top) - 1.0) / k if top > 0.25 else 0.0
-    hi = lo + excess(lo)  # t decreases in alpha2, so the excess at hi is <= 0
+    hi = float(np.mean(shape(lo) ** 2))  # t decreases in alpha2, so the excess at hi is <= 0
     if hi < lo:
         raise NumericError("sign-covariance eigenvalues have no shape preimage")
-    alpha2 = brentq(excess, lo, hi, xtol=1e-15) if hi > lo else lo
+    alpha2 = _root(excess, lo, hi) if hi > lo else lo
     t = np.maximum(shape(alpha2), 0.0)
     return t * (p / t.sum())
 

@@ -13,6 +13,7 @@ from sscm.lss_clt import (
     _ring_integrals,
     beta_moments_normal,
     lss_normal_approx,
+    shape_to_sigma_eigs,
 )
 from sscm.mp_law import (
     DiscreteMeasure,
@@ -23,7 +24,6 @@ from sscm.mp_law import (
 from sscm.shape_estimation import (
     estimate_shape,
     psi_normalize,
-    shape_to_sigma_eigs,
     sigma_to_shape_eigs,
     tyler_m_estimator,
 )

@@ -2,10 +2,14 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sscm as package
 from sscm.cli import format_complex, main, parse_complex
 from sscm.lss_clt import ShapeContext, beta_moments_normal, lss_normal_approx
 from sscm.mp_law import DiscreteMeasure, SpectralModel, solve_stieltjes
@@ -18,6 +22,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_loads_no_scipy():
+    # NumPy is the only runtime dependency: a fresh interpreter that imports
+    # the package and its command line has no SciPy module loaded
+    code = "import sys, sscm, sscm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(package.__file__))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestComplexFormat:
@@ -315,7 +329,8 @@ class TestSimulate:
         assert manifest["spec"] == dataclasses.asdict(ModelSpec("M1", n=40, seed=1))
         assert manifest["spec"]["p"] == 400  # resolved from the model's default
         assert (manifest["config"]["reps"], manifest["config"]["p"]) == (2, None)
-        assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
+        assert "subcommand" not in manifest["config"]  # it is `command`
+        assert set(manifest["versions"]) == {"python", "numpy"}
 
         out = tmp_path / "b.csv"
         assert run_cli(capsys, "simulate", "--model", "M4", "--reps", "1", "--seed", "9",

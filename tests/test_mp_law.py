@@ -5,11 +5,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
+from scipy.optimize import brentq
 
-from sscm import mp_law
+from sscm import lss_clt, mp_law, shape_estimation
+from sscm.errors import NumericError
+from sscm.lss_clt import ShapeContext, _ring, shape_to_sigma_eigs
 from sscm.mp_law import (
     DiscreteMeasure,
     SpectralModel,
@@ -22,6 +25,7 @@ from sscm.mp_law import (
     solve_stieltjes_grid,
     _population_moments,
 )
+from sscm.shape_estimation import sigma_to_shape_eigs
 
 
 def quadratic_root(c, z):
@@ -400,6 +404,13 @@ class TestDensitySupport:
         np.testing.assert_allclose(got, scan_support_edges(SpectralModel(0.5, H)), rtol=1e-10)
         assert lsd_support(SpectralModel(0.5, DiscreteMeasure.point_mass(0.0))) == []
 
+    @pytest.mark.parametrize("scale", [1e-10, 1e10])
+    def test_edges_scale_with_H(self, scale):
+        # scaling H scales F: the root stops are relative, so tiny atoms keep every digit
+        model = SpectralModel(0.3, DiscreteMeasure(((1.0, 0.5), (3.0, 0.5))))
+        scaled = SpectralModel(0.3, DiscreteMeasure(((scale, 0.5), (3.0 * scale, 0.5))))
+        np.testing.assert_allclose(np.ravel(lsd_support(scaled)), scale * np.ravel(lsd_support(model)), rtol=1e-14)
+
     @settings(max_examples=60, deadline=None)
     @given(spectral_models())
     def test_edges_match_sign_scan(self, model):
@@ -511,3 +522,115 @@ class TestMoments:
     @given(spectral_models())
     def test_series_matches_closed_forms(self, model):
         np.testing.assert_allclose(lsd_moments(model, 6), lsd_moments_closed(model, 6), rtol=1e-12)
+
+
+
+def check_root(f, lo, hi, root, terms):
+    """root is the root of f on [lo, hi] to 4 ulp, where f(y) returns f and f'.
+
+    The computed f changes sign or vanishes among the floats within 4 ulp of
+    the root; rounding can flip its sign back and forth there, so the two
+    neighbours 4 ulp away alone need not differ.  brentq at rtol 4 eps and a
+    negligible xtol finds the same root: to its own tolerance, 4 eps |root|,
+    plus those 4 ulp, plus the stretch on which rounding can flip the sign of
+    f, 8 eps times `terms` (the sum of the magnitudes of the terms f adds up)
+    over |f'|.  That stretch is wide where f' is small against the terms:
+    x' near y = 0 when c is near 1, and next to a gap that nearly closes.
+    """
+
+    def g(y):
+        return float(f(y)[0])
+
+    eps = np.finfo(float).eps
+    near = [root]
+    for _ in range(4):
+        near = [np.nextafter(near[0], -np.inf)] + near + [np.nextafter(near[-1], np.inf)]
+    with np.errstate(divide="ignore"):  # f' of alpha_2's excess is infinite at its lower end
+        assert lo <= root <= hi
+        signs = {np.sign(g(y)) for y in near}
+        assert 0.0 in signs or signs == {-1.0, 1.0}
+        want = brentq(g, lo, hi, xtol=1e-300, rtol=4.0 * eps)
+        band = 8.0 * eps * terms / abs(f(root)[1])
+        assert abs(root - want) <= 4.0 * np.spacing(abs(root)) + 4.0 * eps * abs(want) + band
+
+
+def derivative_terms(y, c, t, w, k):
+    """The sum of the magnitudes of the terms of x'(y) (k = 1) or x''(y) (k = 2)."""
+    return (2 - k) + k * c * np.sum(w * t**2 / np.abs(y - t) ** (k + 1))
+
+
+class TestRoot:
+    """mp_law._root at every kind of site that calls it, against brentq."""
+
+    @staticmethod
+    def record(run):
+        """Every (f, lo, hi, root) that run() passes through _root, in any module."""
+        calls, root = [], mp_law._root
+
+        def spy(f, lo, hi):
+            calls.append((f, lo, hi, root(f, lo, hi)))
+            return calls[-1][-1]
+
+        with (
+            mock.patch.object(mp_law, "_root", spy),
+            mock.patch.object(lss_clt, "_root", spy),
+            mock.patch.object(shape_estimation, "_root", spy),
+        ):
+            run()
+        return calls
+
+    @staticmethod
+    def shape(model, p=40):
+        """A diagonal shape of trace p with the atoms of H, about p times its weights each."""
+        t = np.repeat(model.H.values, np.maximum(1, np.round(p * model.H.weights)).astype(int))
+        return t * (t.size / t.sum())
+
+    @settings(max_examples=100, deadline=None)
+    @given(spectral_models())
+    @example(SpectralModel(0.01, TWO_ATOM))
+    @example(SpectralModel(0.01, DiscreteMeasure(((1.0, 0.3), (2.0, 0.3), (4.0, 0.4)))))
+    def test_support(self, model):
+        # the outer critical roots, and in each gap the root of x'' and, when x' > 0 there, two roots of x'
+        atoms = (model.c, model.H.values, model.H.weights)
+        calls = self.record(lambda: lsd_support(model))
+        assert len(calls) >= 2 + 3 * (len(lsd_support(model)) - 1)
+        for f, lo, hi, root in calls:
+            k = 2 if np.array_equal(f(root), mp_law._derivatives(root, *atoms)[1:]) else 1
+            check_root(f, lo, hi, root, derivative_terms(root, *atoms, k))
+
+    @settings(max_examples=100, deadline=None)
+    @given(spectral_models(), st.floats(1.0, 1.5))
+    def test_ring_crossings(self, model, r_w):
+        ctx = ShapeContext.from_diagonal_shape(self.shape(model), self.shape(model).size / model.c, 3.0, r_w)
+        c, t, w = ctx.c_n, ctx.H_p.values, ctx.H_p.weights
+
+        def ring():
+            try:
+                _ring(ctx, (1.0,))
+            except NumericError:  # a node off the physical sheet: the crossings are found before that check
+                pass
+
+        calls = self.record(ring)
+        assert len(calls) == 4  # two outer critical roots, then the two crossings
+        for f, lo, hi, root in calls[:2]:
+            check_root(f, lo, hi, root, derivative_terms(root, c, t, w, 1))
+        for f, lo, hi, root in calls[2:]:
+            # f = x(y) - z with x(y) = y + c sum w t y / (y - t)
+            z = mp_law._x_dx(root, c, t, w)[0] - f(root)[0]
+            check_root(f, lo, hi, root, abs(root) + c * np.sum(w * np.abs(t * root / (root - t))) + abs(z))
+
+    @settings(max_examples=100, deadline=None)
+    @given(spectral_models(), st.floats(1.0, 12.0))
+    def test_alpha2(self, model, tau):
+        t = self.shape(model)
+
+        def invert():
+            try:
+                sigma_to_shape_eigs(shape_to_sigma_eigs(t, tau), tau)
+            except NumericError:  # the expansion in tau left sigma with no preimage
+                assume(False)
+
+        calls = self.record(invert)
+        assert len(calls) == 1
+        f, lo, hi, root = calls[0]
+        check_root(f, lo, hi, root, 2.0 * root)  # f = mean(t^2) - alpha2, with mean(t^2) = alpha2 at the root

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sscm import shape_estimation
 from sscm.errors import ConvergenceError, NumericError, UnsupportedConfigError
+from sscm.lss_clt import shape_to_sigma_eigs
 from sscm.mp_law import DiscreteMeasure, _moments_closed, _population_moments
 from sscm.shape_estimation import (
     EstimatorKind,
@@ -19,7 +20,6 @@ from sscm.shape_estimation import (
     moment_method_psd,
     psi_normalize,
     select_num_atoms,
-    shape_to_sigma_eigs,
     sigma_to_shape_eigs,
     tyler_m_estimator,
 )
@@ -359,6 +359,14 @@ class TestSpectrumPlumbing:
         sig = shape_to_sigma_eigs(t, 5.0)
         back = sigma_to_shape_eigs(sig, 5.0)
         np.testing.assert_allclose(np.sort(back), np.sort(t), atol=1e-12)
+
+    def test_alpha2_at_the_lower_end(self):
+        # equal sigma at the edge of real roots: mean(t^2) at the lowest alpha2
+        # is that alpha2, so the bracket is one point and no root is searched
+        with mock.patch.object(shape_estimation, "_root", side_effect=AssertionError("searched")):
+            t = sigma_to_shape_eigs(np.ones(4), 5.0)
+        np.testing.assert_array_equal(t, np.ones(4))
+        np.testing.assert_array_equal(shape_to_sigma_eigs(t, 5.0), np.ones(4))
 
     @pytest.mark.parametrize("top", [8.2, 8.5])
     def test_no_preimage_raises(self, top):
