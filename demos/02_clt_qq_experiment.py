@@ -10,7 +10,7 @@ Run with:  python demos/02_clt_qq_experiment.py
 import numpy as np
 from scipy import stats
 
-from sscm import ModelSpec, RunConfig, beta_moments_normal, model_context, run_qq_experiment
+from sscm import ModelSpec, beta_moments_normal, model_context, run_qq_experiment
 
 spec = ModelSpec(id="M1", p=200, n=100, seed=11)
 ctx = model_context(spec)
@@ -20,8 +20,7 @@ print("limiting normal approximation for (beta_2, beta_3):")
 print("  mean:", np.round(approx.mean, 6))
 print("  cov :\n", np.round(approx.covariance, 6))
 
-cfg = RunConfig(replications=500)
-rows = run_qq_experiment(spec, cfg)
+rows = run_qq_experiment(spec, reps=500)
 z2 = np.array([r[3] for r in rows])
 z3 = np.array([r[4] for r in rows])
 

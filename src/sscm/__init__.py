@@ -59,7 +59,6 @@ from .sign_geometry import (
 )
 from .simulation import (
     ModelSpec,
-    RunConfig,
     generate_sample,
     model_context,
     model_shape,

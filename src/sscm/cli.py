@@ -28,7 +28,14 @@ from .mp_law import (
 )
 from .shape_estimation import estimate_shape
 from .sign_geometry import SampleBatch, estimate_rw, sscm
-from .simulation import MODEL_IDS, ModelSpec, RunConfig, run_qq_experiment, run_shape_benchmark
+from .simulation import (
+    MODEL_IDS,
+    N_BENCHMARK_DEFAULT,
+    P_GRID_DEFAULT,
+    ModelSpec,
+    run_qq_experiment,
+    run_shape_benchmark,
+)
 from .sphericity import frobenius_sphericity_test, kl_sphericity_test
 
 
@@ -207,21 +214,20 @@ def _cmd_shape_estimate(args):
 
 def _cmd_simulate(args):
     args.seed = _resolve_seed(args)
-    cfg = RunConfig(args.reps, workers=args.workers)
     if args.model in ("M1", "M2", "M3"):
         model = ModelSpec(args.model, p=args.p, n=args.n, seed=args.seed)
-        rows, layout = run_qq_experiment(model, cfg, tau=args.tau), QQ_CSV
+        rows, layout = run_qq_experiment(model, args.reps, tau=args.tau), QQ_CSV
         spec = dataclasses.asdict(model)
     else:
         spec = {
             "models": [args.model],
             "epsilons": [float(e) for e in args.epsilon.split(",")],
             "p_grid": [int(p) for p in args.p_grid.split(",")],
-            "n": args.n or 100,
+            "n": args.n or N_BENCHMARK_DEFAULT,
             "seed": args.seed,
         }
         rows = run_shape_benchmark(
-            spec["models"], spec["epsilons"], cfg, p_grid=spec["p_grid"], n=spec["n"], seed=args.seed
+            spec["models"], spec["epsilons"], args.reps, p_grid=spec["p_grid"], n=spec["n"], seed=args.seed
         )
         layout = BENCHMARK_CSV
     _emit(_csv(layout, rows), args, _manifest(args, spec=spec))
@@ -277,8 +283,9 @@ def build_parser():
     p.add_argument("--n", type=int)
     p.add_argument("--tau", type=float, help="QQ: normalize at this E z^4 instead of the model's")
     p.add_argument("--epsilon", default="0,0.01", help="contamination grid for M4/M5")
-    p.add_argument("--p-grid", dest="p_grid", default="2,40,80,120,160,200")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--p-grid", dest="p_grid", default=",".join(map(str, P_GRID_DEFAULT)))
+    # replicates run serially; 1 is accepted for callers that still pass it
+    p.add_argument("--workers", type=int, choices=(1,), default=1)
     p.add_argument("--output", help="CSV path; manifest written alongside")
     p.set_defaults(func=_cmd_simulate)
     return parser

@@ -186,15 +186,17 @@ def solve_stieltjes_grid(model, zs):
 
     From the root y of x(y) = z (see _solve) come mu = -1/y,
     mu' = 1/(y^2 x'(y)) and m = -(1/z) sum w y / (y - t); the lower half
-    plane follows by conjugation.  Real z must lie outside the support of F
-    (the lsd_support intervals, and the atom at 0 when c > 1 or H has one)
-    and off the pole of mu at z = 0; otherwise ValueError.  Raises
-    ConvergenceError as _solve does, or off the physical branch: Im mu > 0
-    off the real axis, d mu / dz > 0 on it.
+    plane follows by conjugation.  Every z must be finite, and real z must
+    lie outside the support of F (the lsd_support intervals, and the atom
+    at 0 when c > 1 or H has one) and off the pole of mu at z = 0;
+    otherwise ValueError.  Raises ConvergenceError as _solve does, or off
+    the physical branch: Im mu > 0 off the real axis, d mu / dz > 0 on it.
     """
     c, t, w = model.c, model.H.values, model.H.weights
     zs = np.asarray(zs, dtype=complex)
     flat = zs.ravel()
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("z must be finite")
     lower = flat.imag < 0
     zq = np.where(lower, np.conj(flat), flat)
     real_mask = zq.imag == 0
@@ -224,10 +226,7 @@ def solve_stieltjes_grid(model, zs):
 
 def solve_stieltjes(model, z):
     """Solve the Marchenko-Pastur equation at a single complex point z."""
-    z = complex(z)
-    if not np.isfinite(z.real) or not np.isfinite(z.imag):
-        raise ValueError("z must be finite")
-    m, mu, mup = solve_stieltjes_grid(model, np.array([z]))
+    m, mu, mup = solve_stieltjes_grid(model, np.array([complex(z)]))
     return StieltjesPair(m=complex(m[0]), m_under=complex(mu[0]), m_under_prime=complex(mup[0]))
 
 

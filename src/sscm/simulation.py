@@ -11,13 +11,14 @@ Frobenius distances of the six shape estimators over replications.  Both
 return their result rows; the command line formats and writes them.
 
 All randomness flows through a counter-based generator (Philox) keyed by
-(seed, stream), so results are independent of worker count and replicate
-scheduling.
+(seed, stream): each replicate draws from its own substream, so a
+replicate's sample does not depend on how many replicates run or in which
+order.  The experiments run their replicates serially; NumPy's BLAS
+already spreads each one's linear algebra over the cores.
 """
 
 import dataclasses
 import math
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -38,6 +39,7 @@ _DEFAULT_PN = {
 }
 
 P_GRID_DEFAULT = (2, 40, 80, 120, 160, 200)
+N_BENCHMARK_DEFAULT = 100
 
 
 @dataclasses.dataclass(frozen=True)
@@ -66,20 +68,6 @@ class ModelSpec:
             raise ValueError("epsilon applies to models M4 and M5 only")
         if self.id in ("M3", "M4", "M5") and self.p % 2:
             raise ValueError(f"model {self.id} requires even p")
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Replication count and parallelism of a run."""
-
-    replications: int
-    workers: int = 1
-
-    def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 def _rng(seed, stream):
@@ -149,25 +137,16 @@ def model_context(spec):
     return ShapeContext.from_matrix(model_root(spec), spec.n, *_CLT_TAU_RW[spec.id])
 
 
-def _qq_replicate(args):
-    spec, r = args
-    X = generate_sample(spec, replicate=r)
-    B = sscm(X).matrix
-    p = spec.p
-    B2 = B @ B
-    b2 = float(np.trace(B2)) / p
-    b3 = float(np.sum(B2 * B.T)) / p
-    return r, b2, b3
-
-
-def run_qq_experiment(spec, cfg, tau=None):
+def run_qq_experiment(spec, reps, tau=None):
     """Normalized trace-power statistics of the SSCM, one row per replicate.
 
-    Returns rows (replicate, beta2_hat, beta3_hat, z2, z3), sorted by
-    replicate.  `tau` overrides the model's fourth moment in the normalization
-    (used to probe its effect); the population sign covariance and its
-    spectrum follow at that tau.
+    Returns rows (replicate, beta2_hat, beta3_hat, z2, z3) for replicates
+    0, ..., reps - 1; ValueError unless reps >= 1.  `tau` overrides the
+    model's fourth moment in the normalization (used to probe its effect);
+    the population sign covariance and its spectrum follow at that tau.
     """
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
     if spec.id not in ("M1", "M2", "M3"):
         raise UnsupportedConfigError("QQ experiment covers models M1-M3 only")
     ctx = model_context(spec)
@@ -178,25 +157,20 @@ def run_qq_experiment(spec, cfg, tau=None):
     mu = approx.mean
     sd = np.sqrt(np.diag(approx.covariance))
 
-    tasks = [(spec, r) for r in range(cfg.replications)]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as ex:
-            results = list(ex.map(_qq_replicate, tasks, chunksize=8))
-    else:
-        results = [_qq_replicate(t) for t in tasks]
-    results.sort(key=lambda row: row[0])
-
     p = spec.p
     rows = []
-    for r, b2, b3 in results:
+    for r in range(reps):
+        B = sscm(generate_sample(spec, replicate=r)).matrix
+        B2 = B @ B
+        b2 = float(np.trace(B2)) / p
+        b3 = float(np.sum(B2 * B.T)) / p
         z2 = (p * (b2 - beta2) - mu[0]) / sd[0]
         z3 = (p * (b3 - beta3) - mu[1]) / sd[1]
         rows.append((r, b2, b3, z2, z3))
     return rows
 
 
-def _benchmark_cell(args):
-    spec, reps, kinds = args
+def _benchmark_cell(spec, reps, kinds):
     T = model_shape(spec)
     sums = {k: 0.0 for k in kinds}
     counts = {k: 0 for k in kinds}
@@ -217,15 +191,19 @@ def _benchmark_cell(args):
     return out
 
 
-def run_shape_benchmark(model_ids, epsilons, cfg, p_grid=P_GRID_DEFAULT, n=100, seed=0):
+def run_shape_benchmark(model_ids, epsilons, reps, p_grid=P_GRID_DEFAULT, n=N_BENCHMARK_DEFAULT, seed=0):
     """Mean Frobenius distance of each estimator over a (model, eps, p) grid.
 
-    Tyler-based estimators (5, 6) need p < n and are skipped otherwise;
-    a per-replicate estimator failure (a library error or a singular linear
-    solve) is counted, not fatal; any other exception propagates.
-    Returns rows (model, epsilon, p, estimator, mean_distance, failures).
+    Each cell averages over replicates 0, ..., reps - 1; ValueError unless
+    reps >= 1.  Tyler-based estimators (5, 6) need p < n and are skipped
+    otherwise; a per-replicate estimator failure (a library error or a
+    singular linear solve) is counted, not fatal; any other exception
+    propagates.  Returns rows (model, epsilon, p, estimator, mean_distance,
+    failures).
     """
-    cells = []
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    rows = []
     for mid in model_ids:
         if mid not in ("M4", "M5"):
             raise UnsupportedConfigError("shape benchmark covers models M4/M5")
@@ -233,10 +211,5 @@ def run_shape_benchmark(model_ids, epsilons, cfg, p_grid=P_GRID_DEFAULT, n=100, 
             for p in p_grid:
                 spec = ModelSpec(mid, p=p, n=n, epsilon=eps, seed=seed)
                 kinds = tuple(range(1, 7)) if p < n else (1, 2, 3, 4)
-                cells.append((spec, cfg.replications, kinds))
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as ex:
-            per_cell = list(ex.map(_benchmark_cell, cells))
-    else:
-        per_cell = [_benchmark_cell(c) for c in cells]
-    return [row for cell in per_cell for row in cell]
+                rows += _benchmark_cell(spec, reps, kinds)
+    return rows

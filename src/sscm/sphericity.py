@@ -78,6 +78,8 @@ def kl_sphericity_test(B, n, r_w, r_w_source="supplied"):
 
     Rejects upper one-sided: the divergence grows under any alternative.
     """
+    if r_w < 1.0 - 1e-12:
+        raise ValueError("r_w must be >= 1")
     M = _unwrap(B)
     p = M.shape[0]
     if p >= n:

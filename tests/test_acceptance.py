@@ -30,7 +30,6 @@ from sscm.shape_estimation import (
 from sscm.sign_geometry import spatial_median, spatial_signs, sscm
 from sscm.simulation import (
     ModelSpec,
-    RunConfig,
     generate_sample,
     run_qq_experiment,
 )
@@ -91,7 +90,7 @@ def test_a2_moment_identities(density_moments):
 
 def _qq_check(model_id, p, n, reps=2000):
     spec = ModelSpec(model_id, p=p, n=n, seed=314)
-    rows = np.array(run_qq_experiment(spec, RunConfig(reps)))
+    rows = np.array(run_qq_experiment(spec, reps))
     out = {}
     for j, name in ((3, "z2"), (4, "z3")):
         z = rows[:, j]

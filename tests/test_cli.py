@@ -196,6 +196,21 @@ class TestSphericity:
         assert code == 0
         assert json.loads(out) == dataclasses.asdict(test(sscm(X, center=np.zeros(30)), 60, 1.2))
 
+    @pytest.mark.parametrize("rw", [0.5, 0.0, -1.0])
+    @pytest.mark.parametrize("name,test", [("frobenius", frobenius_sphericity_test), ("kl", kl_sphericity_test)],
+                             ids=["frobenius", "kl"])
+    def test_rw_below_one_rejected(self, capsys, tmp_path, name, test, rw):
+        # r_w = E w^-2 / E^2 w^-1 >= 1 by Cauchy-Schwarz
+        X = np.random.default_rng(2).standard_normal((60, 30))
+        with pytest.raises(ValueError, match="r_w must be >= 1"):
+            test(sscm(X, center=np.zeros(30)), 60, rw)
+        path = tmp_path / "x.csv"
+        SampleBatch(X).to_csv(path)
+        code, out, err = run_cli(capsys, "sphericity", "--input", str(path), "--test", name,
+                                 "--rw", str(rw), "--center", "zero")
+        assert (code, out) == (1, "")
+        assert "r_w must be >= 1" in err
+
     def test_data_point_median(self, capsys, tmp_path):
         # the spatial median is the data point at the origin, of multiplicity 3:
         # its rows carry no sign, and r_w is estimated from the other three
@@ -302,6 +317,24 @@ class TestSimulate:
         assert on_stderr["config"].pop("output") is None
         assert written["config"].pop("output") == str(path)
         assert on_stderr == written
+
+    @pytest.mark.parametrize("bad", [("--reps", "0"), ("--reps", "1", "--workers", "2")],
+                             ids=["reps0", "workers2"])
+    def test_usage_errors(self, capsys, bad):
+        code, out, err = run_cli(capsys, "simulate", "--model", "M1", "--p", "20", "--n", "40", *bad)
+        assert code == 1
+        assert out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ("--model", "M1", "--p", "20", "--n", "40"),
+        ("--model", "M4", "--epsilon", "0.01", "--p-grid", "20"),
+    ], ids=["qq", "benchmark"])
+    def test_workers_one_is_the_default(self, capsys, argv):
+        # replicates run serially; --workers accepts only the value it defaults to
+        common = ("simulate", "--reps", "2", "--seed", "5") + argv
+        code, out, err = run_cli(capsys, *common)
+        assert code == 0
+        assert run_cli(capsys, *common, "--workers", "1") == (0, out, err)
 
     def test_stdout_csv(self, capsys):
         code, out, err = run_cli(

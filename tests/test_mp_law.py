@@ -1,5 +1,8 @@
 """Oracle and property tests for the limiting spectral law solver."""
 
+import os
+import subprocess
+import sys
 from math import comb
 from unittest import mock
 
@@ -11,7 +14,7 @@ from scipy.integrate import trapezoid
 from scipy.optimize import brentq
 
 from sscm import lss_clt, mp_law, shape_estimation
-from sscm.errors import NumericError
+from sscm.errors import ConvergenceError, NumericError
 from sscm.lss_clt import ShapeContext, _ring, shape_to_sigma_eigs
 from sscm.mp_law import (
     DiscreteMeasure,
@@ -378,6 +381,33 @@ class TestSolver:
             with pytest.raises(ValueError, match="pole at z = 0"):
                 solve_stieltjes_grid(model, np.array([-0.01, 0.0, 1.0 + 1.0j]))
 
+    def test_non_finite_z_raises(self):
+        # an infinite z once kept the continuation height infinite, so the
+        # solver never returned: the calls run in a child process with a timeout
+        code = """
+import numpy as np
+from sscm.lss_clt import ShapeContext, cov_kernel, mean_kernel
+from sscm.mp_law import solve_stieltjes_grid
+ctx = ShapeContext.isotropic(40, 80)
+inf, nan = float("inf"), float("nan")
+for z in (complex(inf, 0), complex(-inf, 0), complex(inf, 1), complex(1, inf), complex(1, -inf),
+          complex(nan, 0), complex(1, nan), complex(nan, 1)):
+    for call in (lambda: solve_stieltjes_grid(ctx.model, [z]),
+                 lambda: solve_stieltjes_grid(ctx.model, [1j, z]),
+                 lambda: mean_kernel(ctx, z),
+                 lambda: cov_kernel(ctx, z, 1j),
+                 lambda: cov_kernel(ctx, -1j, z)):
+        try:
+            call()
+            print("returned")
+        except ValueError as exc:
+            print(exc)
+"""
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mp_law.__file__))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["z must be finite"] * 40
+
 
 class TestDensitySupport:
     def test_classical_support(self):
@@ -410,6 +440,32 @@ class TestDensitySupport:
         model = SpectralModel(0.3, DiscreteMeasure(((1.0, 0.5), (3.0, 0.5))))
         scaled = SpectralModel(0.3, DiscreteMeasure(((scale, 0.5), (3.0 * scale, 0.5))))
         np.testing.assert_allclose(np.ravel(lsd_support(scaled)), scale * np.ravel(lsd_support(model)), rtol=1e-14)
+
+    def test_density_at_tiny_H_needs_newtons_guard(self):
+        # scaling H by s scales F: f_sH(x) = f_H(x / s) / s.  At s = 1e-10 the
+        # polish of a real z starts from its root at z + 1e-9i, 1.5 widths of the
+        # support above it, and one Newton step would land below the real axis;
+        # halving that step keeps the physical root (without it, 52% off)
+        s, c = 1e-10, 0.5
+        tiny = SpectralModel(c, DiscreteMeasure(((s, 0.5), (3.0 * s, 0.5))))
+        unit = SpectralModel(c, DiscreteMeasure(((1.0, 0.5), (3.0, 0.5))))
+        xs = np.concatenate([np.linspace(a, b, 23)[1:-1] for a, b in lsd_support(tiny)])
+        want = lsd_density(unit, xs / s) / s
+        np.testing.assert_allclose(lsd_density(tiny, xs), want, rtol=0, atol=1e-12 * want.max())
+
+    def test_unconverged_density_raises(self):
+        # at s = 1e-15 the polish stalls at some x with a backward error of 0.25;
+        # the gate raises rather than return a density off by up to 100%
+        s, c = 1e-15, 0.1
+        tiny = SpectralModel(c, DiscreteMeasure(((s, 0.5), (3.0 * s, 0.5))))
+        unit = SpectralModel(c, DiscreteMeasure(((1.0, 0.5), (3.0, 0.5))))
+        xs = np.concatenate([np.linspace(a, b, 13)[1:-1] for a, b in lsd_support(tiny)])
+        want = lsd_density(unit, xs / s) / s
+        try:
+            got = lsd_density(tiny, xs)
+        except ConvergenceError:
+            return
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * want.max())
 
     @settings(max_examples=60, deadline=None)
     @given(spectral_models())

@@ -161,6 +161,16 @@ class TestSpatialMedian:
         assert np.linalg.norm(res.median - X[1]) <= 1e-12 * np.linalg.norm(X[1])
         assert res.iterations == DEFAULT_MEDIAN_MAX_ITER
 
+    def test_newton_point_must_lower_the_residual(self):
+        # a nearly collinear sample whose minimizer is a data point: from a Weiszfeld
+        # iterate at residual 7.4e-7, the Newton point overshoots to 3.5e-4 with the
+        # objective flat to rounding; it is not taken, and the data point is certified
+        X = np.random.default_rng(8).standard_normal((8, 2)) * [1.0, 1e-3]
+        res = spatial_median(X)
+        assert res.newton_steps == 0
+        assert res.iterations == DEFAULT_MEDIAN_MAX_ITER
+        assert any(np.array_equal(res.median, x) for x in X)
+
     def test_end_certificate_bound_is_the_multiplicity(self, monkeypatch):
         # after one iterate, the data point nearest it has multiplicity m = 1 and
         # the other signs sum to m < ||R|| < m + 1 there: it is no minimizer

@@ -7,7 +7,6 @@ from sscm import simulation
 from sscm.errors import ConvergenceError, UnsupportedConfigError
 from sscm.simulation import (
     ModelSpec,
-    RunConfig,
     generate_sample,
     model_context,
     model_root,
@@ -133,31 +132,31 @@ class TestModelContext:
 class TestRunners:
     def test_qq_row_determinism(self):
         spec = ModelSpec("M1", p=40, n=80, seed=7)
-        rows = run_qq_experiment(spec, RunConfig(5))
-        assert rows == run_qq_experiment(spec, RunConfig(5))
+        rows = run_qq_experiment(spec, 5)
+        assert rows == run_qq_experiment(spec, 5)
         assert [row[0] for row in rows] == list(range(5))
 
-    def test_qq_parallel_matches_serial(self):
-        spec = ModelSpec("M1", p=40, n=80, seed=8)
-        serial = run_qq_experiment(spec, RunConfig(6, workers=1))
-        parallel = run_qq_experiment(spec, RunConfig(6, workers=3))
-        assert serial == parallel
+    def test_runners_reject_zero_reps(self):
+        with pytest.raises(ValueError, match="reps must be >= 1"):
+            run_qq_experiment(ModelSpec("M1", p=40, n=80, seed=8), 0)
+        with pytest.raises(ValueError, match="reps must be >= 1"):
+            run_shape_benchmark(("M4",), (0.0,), 0, p_grid=(40,), n=100, seed=9)
 
     def test_m2_qq_standard_normal(self):
         # normalized statistics of model M2 have mean 0 and variance 1,
         # checked in bands of 5 standard errors
         reps = 400
-        rows = np.array(run_qq_experiment(ModelSpec("M2", p=40, n=80, seed=11), RunConfig(reps)))
+        rows = np.array(run_qq_experiment(ModelSpec("M2", p=40, n=80, seed=11), reps))
         for z in (rows[:, 3], rows[:, 4]):
             assert abs(z.mean()) <= 5.0 * z.std(ddof=1) / np.sqrt(reps)
             assert abs(z.var(ddof=1) - 1.0) <= 5.0 * np.sqrt(2.0 / (reps - 1))
 
     def test_qq_rejects_contaminated_models(self):
         with pytest.raises(UnsupportedConfigError):
-            run_qq_experiment(ModelSpec("M4", p=20, n=100, seed=0), RunConfig(1))
+            run_qq_experiment(ModelSpec("M4", p=20, n=100, seed=0), 1)
 
     def test_benchmark_rows_and_skips(self):
-        rows = run_shape_benchmark(("M4",), (0.0,), RunConfig(2), p_grid=(40, 160), n=100, seed=9)
+        rows = run_shape_benchmark(("M4",), (0.0,), 2, p_grid=(40, 160), n=100, seed=9)
         by_p = {}
         for mid, eps, p, k, mean, nf in rows:
             by_p.setdefault(p, []).append(k)
@@ -169,7 +168,7 @@ class TestRunners:
             raise ConvergenceError("no fixed point")
 
         monkeypatch.setattr(simulation, "estimate_shape", converge_fail)
-        rows = run_shape_benchmark(("M4",), (0.0,), RunConfig(2), p_grid=(40,), n=100, seed=9)
+        rows = run_shape_benchmark(("M4",), (0.0,), 2, p_grid=(40,), n=100, seed=9)
         assert [nf for *_, nf in rows] == [2] * 6
 
         def defect(X, kind, **kwargs):
@@ -177,4 +176,4 @@ class TestRunners:
 
         monkeypatch.setattr(simulation, "estimate_shape", defect)
         with pytest.raises(TypeError):
-            run_shape_benchmark(("M4",), (0.0,), RunConfig(2), p_grid=(40,), n=100, seed=9)
+            run_shape_benchmark(("M4",), (0.0,), 2, p_grid=(40,), n=100, seed=9)
